@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import PadicError, PNorm, PrecisionError, Prime, ZpApprox, distance
+from .core import PadicError, PNorm, PrecisionError, ZpApprox, distance
 from .maps import (
     DigitFunctionTable,
     IterateTable,
@@ -34,24 +34,6 @@ from .maps import (
     iterate_table,
     table_from_spec,
 )
-
-
-def _eval_fn(map_like):
-    if isinstance(map_like, DigitFunctionTable):
-        return map_like.eval
-    if isinstance(map_like, IterateTable):
-        return map_like.table.eval
-    if isinstance(map_like, MapSpec):
-        return map_like.apply
-    raise TypeError(f"not a map: {map_like!r}")
-
-
-def _prime_of(map_like) -> Prime:
-    if isinstance(map_like, (DigitFunctionTable,)):
-        return map_like.prime
-    if isinstance(map_like, IterateTable):
-        return map_like.table.prime
-    return map_like.prime
 
 
 @dataclass(frozen=True)
@@ -98,8 +80,8 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     otherwise ``per_stratum`` seeded random pairs per distance stratum.
     The first violating pair is returned as a witness.
     """
-    p = _prime_of(map_like)
-    f = _eval_fn(map_like)
+    p = map_like.prime
+    f = map_like.apply
     k, m = klass.k, klass.m
     N = precision
     if N < k + m + 1:
@@ -187,8 +169,8 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
     """Find, for pairs of distinct truncations, the least n <= horizon with
     d(f^n x, f^n y) > p^-c.  Pairs still below precision at the horizon are
     reported as undecided, never silently counted as separated."""
-    p = _prime_of(map_like)
-    f = _eval_fn(map_like)
+    p = map_like.prime
+    f = map_like.apply
     N = precision
     c = expansivity_exponent
 

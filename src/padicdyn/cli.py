@@ -107,6 +107,13 @@ def _load_map(path: str) -> MapSpec:
         raise _ParseFailure(f"cannot parse map spec {path}: {exc}") from exc
 
 
+def _load_orbit(path: str):
+    try:
+        return load_orbit_points(path)
+    except ValueError as exc:
+        raise _ParseFailure(f"cannot parse orbit file {path}: {exc}") from exc
+
+
 class _ParseFailure(Exception):
     pass
 
@@ -166,7 +173,7 @@ def _auto_solver(spec: MapSpec) -> str:
 
 def cmd_shadow(args) -> dict:
     spec = _load_map(args.map)
-    points, start, header = load_orbit_points(args.orbit)
+    points, start, header = _load_orbit(args.orbit)
     orbit = PseudoOrbit.from_map(spec, points, start)
     solver = args.solver if args.solver != "auto" else _auto_solver(spec)
     if solver == "scaling":
@@ -332,7 +339,7 @@ def cmd_oracle(args) -> dict:
         return out
     if args.oracle == "shadow":
         spec = _load_map(args.map)
-        points, start, _ = load_orbit_points(args.orbit)
+        points, start, _ = _load_orbit(args.orbit)
         if start != 0:
             raise PrecisionError("the shadow oracle is one-sided")
         table = table_from_spec(spec, depth=args.precision)

@@ -26,7 +26,6 @@ recomputable:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .core import (
@@ -56,16 +55,12 @@ from .shadowing import (
     PseudoOrbit,
     _DigitStream,
     _extend_stream,
+    _sampled_contraction,
+    _solve_next_digit,
     certify_expansion,
     invert_spec,
     shadow_locally_scaling,
 )
-
-
-def _apply(map_like, x):
-    if isinstance(map_like, DigitFunctionTable):
-        return map_like.eval(x)
-    return map_like.apply(x)
 
 
 @dataclass(frozen=True)
@@ -107,16 +102,16 @@ def conjugate_to_shift(table: DigitFunctionTable, x: ZpApprox) -> ZpApprox:
         out.extend(z.digits[: min(k, x.precision - len(out))])
         if len(out) >= x.precision:
             break
-        z = table.eval(z)
+        z = table.apply(z)
     return ZpApprox(x.prime, tuple(out))
 
 
 def invert_shift_conjugacy(table: DigitFunctionTable, y: ZpApprox) -> ZpApprox:
     """Recover x with h(x) = y, block by block.
 
-    Block 0 of y is x's first k digits; digit nk+r of y equals the realized
-    digit function g_r^(n) at x's prefix, whose last variable is solved by
-    trying the p candidates against the lazily maintained iterate streams.
+    Block 0 of y is x's first k digits; digit nk+r of y is digit r of f^n(x),
+    whose last variable is x's next digit, solved by the shadow solver's
+    digit step against the lazily maintained iterate streams.
     """
     if table.klass.m != table.klass.k:
         raise PadicError(f"shift conjugation needs class (k,k), got {table.klass}")
@@ -127,28 +122,11 @@ def invert_shift_conjugacy(table: DigitFunctionTable, y: ZpApprox) -> ZpApprox:
     levels = [xs]
     while len(xs) < N:
         u = len(xs)
-        n_block = u // k
-        while len(levels) <= n_block:
+        n, r = divmod(u, k)
+        if len(levels) <= n:
             levels.append(_DigitStream(p))
-            for j in range(1, len(levels)):
-                _extend_stream(table, levels[j - 1], levels[j])
-        found = None
-        for c in range(p):
-            d = c
-            for j in range(1, n_block + 1):
-                prev = levels[j - 1]
-                idx = prev.prefix_index(len(prev)) + d * prev.pw[len(prev)]
-                d = table.digit_value(len(levels[j]), idx)
-            if d == y.digits[u]:
-                if found is not None:
-                    raise PadicError(
-                        f"invert: two candidates at digit {u} (corrupt table)")
-                found = c
-        if found is None:
-            raise PadicError(f"invert: no candidate at digit {u} (corrupt table)")
-        xs.append(found)
-        for j in range(1, len(levels)):
-            _extend_stream(table, levels[j - 1], levels[j])
+            _extend_stream(table, levels[n - 1], levels[n])
+        _solve_next_digit(table, levels, n, r, y.digits[u])
     return ZpApprox(p, tuple(xs.digits))
 
 
@@ -181,7 +159,7 @@ def conjugate_nearby(f_table: DigitFunctionTable, g_map, x: ZpApprox,
             f"horizon {horizon} needs {need} digits of x, got {x.precision}")
     points = [x]
     for _ in range(horizon):
-        points.append(_apply(g_map, points[-1]))
+        points.append(g_map.apply(points[-1]))
     orbit = PseudoOrbit.from_map(f_table, points)
     delta_exp = (l + s) if m < k else (k + s)
     if not orbit.certified_delta.leq_pow(delta_exp):
@@ -253,34 +231,13 @@ def certify_contraction_factor(psi: MapSpec, min_exponent: int, *,
     return _sampled_contraction(psi, min_exponent, samples, precision, seed)
 
 
-def _sampled_contraction(psi, min_exponent, samples, precision, seed):
-    rng = random.Random(seed)
-    p = psi.prime
-    for _ in range(samples):
-        x = ZpApprox(p, tuple(rng.randrange(p) for _ in range(precision)))
-        y = ZpApprox(p, tuple(rng.randrange(p) for _ in range(precision)))
-        din = distance(x, y)
-        if not din.exact:
-            continue
-        dout = distance(psi.apply(x), psi.apply(y))
-        if dout.gt_pow(din.exponent + min_exponent):
-            raise CertificationError(
-                f"pair contracts by only {dout.describe(p)} at distance "
-                f"{din.describe(p)}: x={encode_value(x)}, y={encode_value(y)}")
-    return f"sampled:{samples}"
-
-
-def _zp_scale(a: ZpApprox, x: ZpApprox) -> ZpApprox:
-    return a * x
-
-
 def _fixed_point_of_contraction(a: ZpApprox, psi: MapSpec, precision: int,
                                 budget: int = 64) -> ZpApprox:
     """The unique fixed point of z -> a z + psi(z) on Z_p, by iteration."""
     p = a.prime
     z = ZpApprox.from_int(0, p, precision)
     for _ in range(budget):
-        nxt = _zp_scale(a, z) + psi.apply(z)
+        nxt = a * z + psi.apply(z)
         if nxt.digits == z.digits[: nxt.precision]:
             return nxt
         z = nxt
@@ -314,7 +271,7 @@ def affine_shell_conjugacy(a: ZpApprox, psi: MapSpec, z: ZpApprox) -> ZpApprox:
     w = mod_zp(w_q)
     cur = w
     for _ in range(n):
-        cur = _zp_scale(a, cur) + psi.apply(cur)
+        cur = a * cur + psi.apply(cur)
     got = cur.norm()
     if not (got.exact and got.exponent == nz.exponent):
         raise CertificationError(
@@ -532,18 +489,16 @@ def verify_conjugacy(h, f_map, g_map, samples) -> ConjugacyReport:
     """
     hf = h.forward if isinstance(h, ConjugacyMap) else h
     samples = list(samples)
-    residuals = []
-    for x in samples:
-        lhs = _apply(f_map, hf(x))
-        rhs = hf(_apply(g_map, x))
-        residuals.append(distance(lhs, rhs))
+    hs = [hf(x) for x in samples]
+    residuals = [distance(f_map.apply(hx), hf(g_map.apply(x)))
+                 for x, hx in zip(samples, hs)]
     bad = [r for r in residuals if r.exact]
     deviations = []
     collisions = []
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             din = distance(samples[i], samples[j])
-            dout = distance(hf(samples[i]), hf(samples[j]))
+            dout = distance(hs[i], hs[j])
             if din.exact and not dout.exact:
                 collisions.append((samples[i], samples[j]))
             elif din.exact and dout.exact and din.exponent != dout.exponent:

@@ -14,11 +14,12 @@ projection f_i(x_0..x_{k-l+i}) = x_{k-l+i} (the digit functions of a shift
 power).  This keeps deep orbit evaluation affordable -- dense tables grow
 as p^arity -- while the extended family is still exactly locally scaling.
 
-Map specifications (:class:`ShiftPower`, :class:`Tj`, :class:`Rmap`, affine
-maps, substitutions, tables, Mahler series, compositions) share a uniform
-``apply`` contract: the result carries exactly the digits determined by the
-input, computed per variant.  Specs serialize to a stable JSON form, see
-``docs/mapspec.md``.
+Every map object -- the map specifications (:class:`ShiftPower`,
+:class:`Tj`, :class:`Rmap`, affine maps, substitutions, tables, Mahler
+series, compositions), :class:`DigitFunctionTable` and
+:class:`IterateTable` -- answers to ``prime`` and ``apply(x)``: the result
+carries exactly the digits determined by the input, computed per variant.
+Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .core import (
     QpApprox,
     ZeroAtPrecision,
     ZpApprox,
+    _digits_from_int as _decode,
+    _int_from_digits as _encode,
     encode_value,
     inverse_unit,
     mod_zp,
@@ -86,21 +89,6 @@ class ScalingClass:
         return self.k - self.m
 
 
-def _decode(idx: int, p: int, length: int) -> tuple:
-    out = []
-    for _ in range(length):
-        idx, d = divmod(idx, p)
-        out.append(d)
-    return tuple(out)
-
-
-def _encode(digits, p: int) -> int:
-    idx = 0
-    for d in reversed(digits):
-        idx = idx * p + d
-    return idx
-
-
 @dataclass(frozen=True)
 class DigitFunctionTable:
     """Dense digit-function tables for a (p^-k, p^m) locally scaling map.
@@ -114,6 +102,7 @@ class DigitFunctionTable:
 
     With ``tail_projection`` set, output digits at i >= len(tables) use the
     projection onto the last variable, so the map is defined at every depth.
+    ``eval`` is another name for ``apply``.
     """
 
     prime: Prime
@@ -161,7 +150,7 @@ class DigitFunctionTable:
             return idx // self.prime ** (self.arity(i) - 1)
         raise DepthExhausted(f"no digit function at output index {i}")
 
-    def eval(self, x: ZpApprox) -> ZpApprox:
+    def apply(self, x: ZpApprox) -> ZpApprox:
         """Apply the map; the result has precision N - (k-l), capped by depth."""
         if x.prime != self.prime:
             raise PadicError(f"primes {x.prime} and {self.prime}")
@@ -187,6 +176,8 @@ class DigitFunctionTable:
             pw *= p
             out.append(self.digit_value(i, acc))
         return ZpApprox(p, tuple(out))
+
+    eval = apply
 
 
 def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,
@@ -523,7 +514,7 @@ class TableMap(MapSpec):
         return self.table.prime
 
     def apply(self, x: ZpApprox) -> ZpApprox:
-        return self.table.eval(x)
+        return self.table.apply(x)
 
     def min_input_precision(self, n_out: int) -> int:
         k, l = self.table.klass.k, self.table.klass.l
@@ -695,7 +686,7 @@ def extract_table(spec: MapSpec, klass: ScalingClass, depth: int, *,
         pad_width = max(spec.min_input_precision(depth) - L, 1)
         for idx in range(p**L):
             digs = _decode(idx, p, L)
-            predicted = table.eval(ZpApprox(p, digs)).digits[:depth]
+            predicted = table.apply(ZpApprox(p, digs)).digits[:depth]
             for padding in ((0,) * pad_width, (p - 1,) * pad_width):
                 y = spec.apply(ZpApprox(p, digs + padding))
                 got = y.digits[:depth]
@@ -716,6 +707,13 @@ class IterateTable:
     base: DigitFunctionTable
     n: int
     table: DigitFunctionTable
+
+    @property
+    def prime(self) -> Prime:
+        return self.table.prime
+
+    def apply(self, x: ZpApprox) -> ZpApprox:
+        return self.table.apply(x)
 
 
 def iterate_table(base: DigitFunctionTable, n: int, depth: int) -> IterateTable:
@@ -749,7 +747,7 @@ def iterate_table(base: DigitFunctionTable, n: int, depth: int) -> IterateTable:
             base_arity = k if i < l else k - l + i + 1
             entries = []
             for idx in range(p**a):
-                z = cur.eval(ZpApprox(p, _decode(idx, p, a)))
+                z = cur.apply(ZpApprox(p, _decode(idx, p, a)))
                 if z.precision < base_arity:
                     raise DepthExhausted(
                         f"iterate level {step} needs {base_arity} digits of the previous "
@@ -766,9 +764,8 @@ def iterate(map_like, n: int, x: ZpApprox) -> ZpApprox:
     """n-fold application; precision shrinks by m per step for table maps."""
     if n < 1:
         raise ValueError("iterate count must be >= 1")
-    f = map_like.eval if isinstance(map_like, DigitFunctionTable) else map_like.apply
     for _ in range(n):
-        x = f(x)
+        x = map_like.apply(x)
     return x
 
 
@@ -857,6 +854,8 @@ def _build_compose(d):
 
 
 def spec_from_dict(d: dict) -> MapSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"a map spec must be a JSON object, got {type(d).__name__}")
     try:
         builder = _SPEC_TYPES[d["type"]]
     except KeyError:

@@ -8,17 +8,7 @@ seed-constraint or digit-solving machinery it is used to check.
 from __future__ import annotations
 
 from .core import PadicError, ZpApprox
-from .maps import DigitFunctionTable, IterateTable, MapSpec, _decode
-
-
-def _eval(map_like, x: ZpApprox) -> ZpApprox:
-    if isinstance(map_like, DigitFunctionTable):
-        return map_like.eval(x)
-    if isinstance(map_like, IterateTable):
-        return map_like.table.eval(x)
-    if isinstance(map_like, MapSpec):
-        return map_like.apply(x)
-    raise TypeError(f"not a map: {map_like!r}")
+from .maps import _decode
 
 
 def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
@@ -32,7 +22,7 @@ def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
     count = 0
     for xi in range(p**precision):
         x = ZpApprox(p, _decode(xi, p, precision))
-        y = _eval(map_like, x)
+        y = map_like.apply(x)
         if y.digits == x.digits[: y.precision]:
             count += 1
     return count
@@ -47,7 +37,7 @@ def brute_periodic_point_count(map_like, prime: int, n: int, precision: int) -> 
         y = x
         try:
             for _ in range(n):
-                y = _eval(map_like, y)
+                y = map_like.apply(y)
         except PadicError:
             raise PadicError(f"precision {precision} too small for {n} applications")
         if y.digits == x.digits[: y.precision]:
@@ -78,7 +68,7 @@ def brute_shadow_points(map_like, orbit_points, k: int, m: int, s: int,
                 break
             if cur.precision - m < want:
                 break
-            cur = _eval(map_like, cur)
+            cur = map_like.apply(cur)
         if ok:
             out.append(yi)
     return out

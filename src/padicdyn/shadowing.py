@@ -15,7 +15,9 @@ Solvers:
   last variable.  The solver never materializes the iterate tower; it
   maintains f^j(y) lazily as digit streams and back-substitutes one digit
   at a time, asserting the proof's progress index (y determined through
-  nk-(n-1)l+s-1 after step n) at every step.
+  nk-(n-1)l+s-1 after step n) at every step.  The one-digit step,
+  ``_solve_next_digit``, also inverts the isometry onto S^k in
+  :mod:`padicdyn.conjugacy`.
 
 * ``shadow_lipschitz`` -- a 1-Lipschitz map is shadowed by x_0 itself;
   the certification method for the Lipschitz bound is recorded.
@@ -29,6 +31,11 @@ Solvers:
   sequence-space contraction Phi((y_n)) = (g^-1(x_{n+1}+y_{n+1}) - x_n)
   from the zero sequence; each sweep contracts corrections by p^-k, and
   the fixed point's 0-entry corrects x_0 into a true orbit.
+
+Both Q_p solvers verify their point with one two-sided check: forward
+through f, backward through f^-1, every distance against the orbit's
+certified delta.  Maps are evaluated only through ``prime`` and
+``apply``, which tables, iterate tables and specs all provide.
 """
 
 from __future__ import annotations
@@ -78,12 +85,6 @@ class CertificationError(PadicError):
     contradicted by exact recomputation; the witness is in the message."""
 
 
-def _apply(map_like, x):
-    if isinstance(map_like, DigitFunctionTable):
-        return map_like.eval(x)
-    return map_like.apply(x)
-
-
 @dataclass(frozen=True)
 class PseudoOrbit:
     """A finite pseudo-orbit with exact residuals.
@@ -107,7 +108,7 @@ class PseudoOrbit:
     @classmethod
     def from_map(cls, map_like, points, start_index: int = 0) -> "PseudoOrbit":
         residuals = tuple(
-            points[i + 1] - _apply(map_like, points[i]) for i in range(len(points) - 1)
+            points[i + 1] - map_like.apply(points[i]) for i in range(len(points) - 1)
         )
         return cls(tuple(points), residuals, start_index)
 
@@ -136,7 +137,7 @@ class PseudoOrbit:
     def validate(self, map_like) -> bool:
         """Recompute every residual from the points and compare digitwise."""
         for i in range(len(self.points) - 1):
-            w = self.points[i + 1] - _apply(map_like, self.points[i])
+            w = self.points[i + 1] - map_like.apply(self.points[i])
             if w != self.residuals[i]:
                 return False
         return True
@@ -160,7 +161,7 @@ def perturb_orbit(map_like, x0: ZpApprox, delta_exponent: int, steps: int,
     points = [x0]
     residuals = []
     for _ in range(steps):
-        fx = _apply(map_like, points[-1])
+        fx = map_like.apply(points[-1])
         w = _random_zp_residual(rng, fx.prime, fx.precision, delta_exponent)
         points.append(fx + w)
         residuals.append(w)
@@ -271,6 +272,45 @@ def _extend_stream(table: DigitFunctionTable, prev: _DigitStream,
         cur.append(table.digit_value(i, prev.prefix_index(need)))
 
 
+def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
+                      digit_index: int, target: int) -> None:
+    """Append to ``levels[0]`` the one digit that makes digit ``digit_index``
+    of f^n equal ``target``, then extend levels 1..n.
+
+    ``levels[j]`` holds the digits of f^j(levels[0]) that levels[0]
+    determines.  The next digit of levels[0] is the last variable of the next
+    digit function at every level, so each candidate cascades through one
+    lookup per level; bijectivity on the last variable makes the admissible
+    candidate unique.  Raises :class:`ConstraintUnsolvable` at step ``n``.
+    """
+    cascade = []
+    for j in range(1, n + 1):
+        prev, i = levels[j - 1], len(levels[j])
+        if not table.has_digit(i):
+            raise ConstraintUnsolvable(n, i, "table depth exhausted")
+        t = len(prev)
+        cascade.append((i, prev.prefix_index(t), prev.pw[t]))
+    if cascade[-1][0] != digit_index:
+        raise PadicError("internal: cascade index drift")
+    found = None
+    for c in range(table.prime):
+        d = c
+        for i, base, weight in cascade:
+            d = table.digit_value(i, base + d * weight)
+        if d == target:
+            if found is not None:
+                raise ConstraintUnsolvable(
+                    n, digit_index, "two admissible digits: table lacks bijectivity")
+            found = c
+    if found is None:
+        raise ConstraintUnsolvable(
+            n, digit_index, "no admissible digit: certified delta violated or "
+            "table lacks bijectivity")
+    levels[0].append(found)
+    for j in range(1, n + 1):
+        _extend_stream(table, levels[j - 1], levels[j])
+
+
 def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
                            s: int = 0) -> ShadowResult:
     """The recursive digit solver for a (p^-k, p^m) table map.
@@ -299,8 +339,7 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
     levels = [_DigitStream(p, orbit.points[0].digits[: k + s])]
     for n in range(1, T + 1):
         levels.append(_DigitStream(p))
-        for j in range(1, n + 1):
-            _extend_stream(table, levels[j - 1], levels[j])
+        _extend_stream(table, levels[n - 1], levels[n])
         zn = levels[n]
         x_n = orbit.points[n]
         if len(zn) != l + s:
@@ -313,30 +352,7 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
                     n, i, "automatic digits disagree: the orbit's certified "
                     "delta is violated")
         for i in range(l + s, k + s):
-            found = None
-            for c in range(p):
-                d = c
-                for j in range(1, n + 1):
-                    prev, lev = levels[j - 1], levels[j]
-                    ii = len(lev)
-                    idx = prev.prefix_index(len(prev)) + d * prev.pw[len(prev)]
-                    if not table.has_digit(ii):
-                        raise ConstraintUnsolvable(n, ii, "table depth exhausted")
-                    d = table.digit_value(ii, idx)
-                    if j == n and ii != i:
-                        raise PadicError("internal: cascade index drift")
-                if d == x_n.digits[i]:
-                    if found is not None:
-                        raise ConstraintUnsolvable(
-                            n, i, "two admissible digits: table lacks bijectivity")
-                    found = c
-            if found is None:
-                raise ConstraintUnsolvable(
-                    n, i, "no admissible digit: certified delta violated or "
-                    "table lacks bijectivity")
-            levels[0].append(found)
-            for j in range(1, n + 1):
-                _extend_stream(table, levels[j - 1], levels[j])
+            _solve_next_digit(table, levels, n, i, x_n.digits[i])
         # the proof's progress invariant: y determined through (n+1)k - nl + s - 1
         if len(levels[0]) != (n + 1) * k - n * l + s:
             raise PadicError(
@@ -355,7 +371,7 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
                 f"{d.describe(p)}")
         dists.append(d)
         if n < T:
-            cur = table.eval(cur)
+            cur = table.apply(cur)
     return ShadowResult(
         point=y,
         epsilon=pnorm_max(dists),
@@ -393,26 +409,27 @@ def certify_one_lipschitz(map_like, *, samples: int = 256, precision: int = 10,
         for part in map_like.parts:
             certify_one_lipschitz(part, samples=samples, precision=precision, seed=seed)
         return "structural:composition"
+    return _sampled_contraction(map_like, 0, samples, precision, seed)
+
+
+def _sampled_contraction(f, min_exponent: int, samples: int, precision: int,
+                         seed: int) -> str:
+    """Check ||f(x)-f(y)|| <= p^-min_exponent * ||x-y|| on seeded sample pairs
+    of Z_p truncations; pairs without an exact input distance are skipped."""
     rng = random.Random(seed)
-    p = _prime_of(map_like)
+    p = f.prime
     for _ in range(samples):
         x = ZpApprox(p, tuple(rng.randrange(p) for _ in range(precision)))
         y = ZpApprox(p, tuple(rng.randrange(p) for _ in range(precision)))
-        if x.digits == y.digits:
-            continue
         din = distance(x, y)
-        dout = distance(_apply(map_like, x), _apply(map_like, y))
-        if din.exact and dout.gt_pow(din.exponent):
+        if not din.exact:
+            continue
+        dout = distance(f.apply(x), f.apply(y))
+        if dout.gt_pow(din.exponent + min_exponent):
             raise CertificationError(
-                f"pair expands: d(x,y)={din.describe(p)}, "
+                f"pair breaks the factor p^-{min_exponent}: d(x,y)={din.describe(p)}, "
                 f"d(fx,fy)={dout.describe(p)}, x={encode_value(x)}, y={encode_value(y)}")
     return f"sampled:{samples}"
-
-
-def _prime_of(map_like) -> Prime:
-    if isinstance(map_like, DigitFunctionTable):
-        return map_like.prime
-    return map_like.prime
 
 
 def shadow_lipschitz(map_like, orbit: PseudoOrbit, *,
@@ -440,7 +457,7 @@ def shadow_lipschitz(map_like, orbit: PseudoOrbit, *,
                 f"{delta.describe(p)}: the 1-Lipschitz certificate was wrong")
         dists.append(d)
         if n < len(orbit.points) - 1:
-            cur = _apply(map_like, cur)
+            cur = map_like.apply(cur)
     return ShadowResult(
         point=y,
         epsilon=pnorm_max(dists),
@@ -490,21 +507,7 @@ def shadow_affine_qp(a: QpApprox, b: QpApprox, orbit: PseudoOrbit) -> ShadowResu
         x = x0
 
     delta = orbit.certified_delta
-    inv_spec = spec.inverse_spec()
-    dists = {}
-    cur = x
-    for n in range(0, fwd_last + 1):
-        dists[n] = distance(orbit.point(n), cur)
-        cur = spec.apply(cur)
-    cur = x
-    for n in range(-1, bwd_first - 1, -1):
-        cur = inv_spec.apply(cur)
-        dists[n] = distance(orbit.point(n), cur)
-    ordered = tuple(dists[n] for n in range(bwd_first, fwd_last + 1))
-    for n, d in zip(range(bwd_first, fwd_last + 1), ordered):
-        if d.gt_pow(delta.exponent):
-            raise PadicError(
-                f"internal: affine shadow violates delta at step {n}: {d.describe(p)}")
+    ordered = _two_sided_distances(spec, spec.inverse_spec(), x, orbit, "affine-qp")
     return ShadowResult(
         point=x,
         epsilon=pnorm_max(ordered),
@@ -513,6 +516,30 @@ def shadow_affine_qp(a: QpApprox, b: QpApprox, orbit: PseudoOrbit) -> ShadowResu
         solver="affine-qp",
         details={"branch": branch, "delta": delta.describe(p)},
     )
+
+
+def _two_sided_distances(f: MapSpec, f_inv: MapSpec, point, orbit: PseudoOrbit,
+                         solver: str) -> tuple:
+    """d(x_n, f^n(point)) for every index n of the orbit, through f forward
+    and f^-1 backward, each verified <= the orbit's certified delta."""
+    p = orbit.prime
+    delta = orbit.certified_delta
+    dists = {}
+    cur = point
+    for n in range(0, orbit.end_index + 1):
+        if n:
+            cur = f.apply(cur)
+        dists[n] = distance(orbit.point(n), cur)
+    cur = point
+    for n in range(-1, orbit.start_index - 1, -1):
+        cur = f_inv.apply(cur)
+        dists[n] = distance(orbit.point(n), cur)
+    steps = range(orbit.start_index, orbit.end_index + 1)
+    for n in steps:
+        if dists[n].gt_pow(delta.exponent):
+            raise PadicError(f"internal: {solver} shadow violates delta at step {n}: "
+                             f"{dists[n].describe(p)}")
+    return tuple(dists[n] for n in steps)
 
 
 def certify_expansion(spec: MapSpec, *, samples: int = 128, seed: int = 0) -> int:
@@ -608,22 +635,7 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
             converged = True
             break
     point = orbit.point(0) + ys[0]
-
-    dists = {}
-    cur = point
-    for n in range(0, fwd_last + 1):
-        dists[n] = distance(orbit.point(n), cur)
-        cur = g.apply(cur)
-    cur = point
-    for n in range(-1, orbit.start_index - 1, -1):
-        cur = g_inv.apply(cur)
-        dists[n] = distance(orbit.point(n), cur)
-    ordered = tuple(dists[n] for n in range(orbit.start_index, fwd_last + 1))
-    for n, d in zip(range(orbit.start_index, fwd_last + 1), ordered):
-        if d.gt_pow(eps_exp):
-            raise PadicError(
-                f"internal: contraction shadow violates epsilon at step {n}: "
-                f"{d.describe(p)}")
+    ordered = _two_sided_distances(g, g_inv, point, orbit, "dilatation")
     return ShadowResult(
         point=point,
         epsilon=pnorm_max(ordered),
@@ -665,6 +677,8 @@ def load_orbit_points(path):
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError("orbit file is empty")
     m = _HEADER_RE.match(lines[0])
     if m is None:
         raise ValueError("orbit file must start with a '#' header line")

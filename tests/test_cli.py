@@ -1,6 +1,9 @@
 """CLI subcommands: reports, determinism, exit codes."""
 
+import hashlib
 import json
+import random
+import shlex
 
 import pytest
 
@@ -8,11 +11,16 @@ from padicdyn.cli import main
 from padicdyn.core import Prime, QpApprox, ZpApprox
 from padicdyn.maps import (
     AffineQp,
+    AffineZp,
     Rmap,
+    ScalingClass,
     ShiftPower,
     Substitution,
+    TableMap,
     Tj,
     dumps_spec,
+    perturb_table,
+    random_table,
     save_spec,
 )
 
@@ -199,6 +207,11 @@ def test_exit_codes(specs, capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["validate", "--map", str(bad)]) == 2
     capsys.readouterr()
+    # parse error: JSON that is not an object, at the top level or as a part
+    for text in ("[1, 2]", '{"type":"compose","p":2,"parts":[[1]]}'):
+        bad.write_text(text)
+        assert main(["validate", "--map", str(bad)]) == 2, text
+        capsys.readouterr()
     # argparse usage error
     with pytest.raises(SystemExit) as exc:
         from padicdyn.cli import build_parser
@@ -215,3 +228,128 @@ def test_exit_codes(specs, capsys, tmp_path):
                  "--solver", "scaling", "--s", "3"])
     capsys.readouterr()
     assert code == 3
+    # parse error: an empty orbit file, a missing header, an unparseable value
+    bad_orbit = tmp_path / "bad_orbit.txt"
+    for text in ("", "2^0 * [1 0]\n2^0 * [1 1]\n",
+                 "# prime=2 domain=zp count=2\n2^0 * [1 0]\nnot a value\n"):
+        bad_orbit.write_text(text)
+        for command in (["shadow"], ["oracle", "shadow"]):
+            code = main(command + ["--map", str(shift_path), "--orbit", str(bad_orbit)])
+            capsys.readouterr()
+            assert code == 2, (command, text)
+
+
+# ------------------------------------------------------- byte-identical corpus
+
+def _write_corpus_inputs():
+    """Write the corpus's map files into the current directory."""
+    p2, p3 = Prime(2), Prime(3)
+    rng = random.Random(2020)
+    t21 = random_table(rng, p2, ScalingClass(2, 1), 8)
+    specs = {
+        "shift": ShiftPower(p2, 1),
+        "tj": Tj(p2, 1, 2),
+        "rmap": Rmap(p2, 1),
+        "sub": Substitution(p2, ((0, 1), (0,))),
+        "affq": AffineQp(QpApprox(p3, -1, (1,) + (0,) * 29),
+                         QpApprox(p3, 0, (2,) + (0,) * 29)),
+        "affc": AffineQp(QpApprox(p3, 1, (2, 1) + (0,) * 28),
+                         QpApprox(p3, 0, (1,) + (0,) * 29)),
+        "psi": AffineZp(ZpApprox.from_int(18, p3, 12), ZpApprox.from_int(0, p3, 12)),
+        "psi9": AffineZp(ZpApprox.from_int(18, p3, 12), ZpApprox.from_int(9, p3, 12)),
+        "t21": TableMap(t21),
+        "t21b": TableMap(perturb_table(rng, t21, first_digit=3, depth=8)),
+        "t22": TableMap(random_table(rng, p2, ScalingClass(2, 2), 6)),
+    }
+    for name, spec in specs.items():
+        save_spec(spec, f"{name}.json")
+
+
+# (command line, exit code, SHA-256 of the report on stdout), run in order:
+# the orbit commands write the orbit files the later commands read
+CLI_CORPUS = [
+    ('validate --map shift.json --precision 8', 0,
+     "c7d804006ece7f6d6786facce0c513745659027aa92b3fa31ccca88e9d38494b"),
+    ('validate --map t21.json --precision 7', 0,
+     "7a95a8137e2fb3ca0851977a273b2f7eeaa26f9bde70a66430be3f284e7ca41a"),
+    ('validate --map shift.json --k 2 --m 2 --precision 8', 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('fixed-points --map tj.json', 0,
+     "dcfe1877b3c247c999917261b854141d73d13b5311a9f9cc9f416ba3500ef57a"),
+    ('fixed-points --map shift.json --iterate 2', 0,
+     "99b366dcd4e338a9f022209bf5c7289a1c74cf72fb65e1555507c260c6a3ef75"),
+    ('fixed-points --map rmap.json', 4,
+     "e8b503d0ee4af526c6ea6cf9116715ea97686bf82efcedf4c92310267a76af22"),
+    ('fixed-points --map t21.json --iterate 2 --precision 8', 0,
+     "c06b6103dd9e420f1fe6f9fdc0e298b2ca09b0d9349f9cbec8e29b5c723a402e"),
+    ('mahler --map shift.json --terms 6 --precision 8', 0,
+     "716db47a6d6e9e26c0b2d003eacb6dad2b9f3b1888bd4d65144014488a651209"),
+    ('mahler --map sub.json --terms 8 --precision 8', 0,
+     "7bfd38bf3c32eafd7ae6334f314d1061044319661ad326066a4d8e41f4e404b3"),
+    ('orbit --map shift.json --start "2^0 * [1 0 1 1 0 1 0 0 1 1 1 0 1 0 1 1]" '
+     '--delta-exp 1 --steps 6 --seed 42 --out orbit.txt', 0,
+     "4d726adc82d97e76912daf9702d28bb01d015e7954f29402492103ae27f43bdd"),
+    ('shadow --map shift.json --orbit orbit.txt --solver scaling', 0,
+     "967356230e142014ce9ab295b296e92bfb51e1c908b3faeebe1af85f467fdc20"),
+    ('oracle shadow --map shift.json --orbit orbit.txt --precision 10', 0,
+     "1b6ef98ddefe7a21c96054e6e43cc8ef7c13a88e0cc7b607150f9f8ba9cd4b19"),
+    ('shadow --map shift.json --orbit orbit.txt --solver lipschitz', 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('orbit --map t21.json --start "2^0 * [1 1 0 1 0 0 1 0 1 1 1 0 0 1 0 1 1 0 0 1]" '
+     '--delta-exp 2 --steps 8 --seed 3 --out orbt.txt', 0,
+     "49891a7eb0a1f5a3b61c719e76babf7d90d22554d877c8612b00a672f183c541"),
+    ('shadow --map t21.json --orbit orbt.txt --solver scaling --s 1', 0,
+     "0fafbe738c98cac9f245b264a34ec4ea7417b6380459a512559f0a93c9344c00"),
+    ('orbit --map sub.json --start "2^0 * [1 1 0 1 0 1 1 0 1 0]" '
+     '--delta-exp 3 --steps 5 --seed 1 --out orbs.txt', 0,
+     "0e3c0ab912bc3458ce296a16a57fecc6b1d620e623afc35b80c9fc5c700b63d0"),
+    ('shadow --map sub.json --orbit orbs.txt', 0,
+     "0103b311883a28ec43ef50be87bc479c14a9b8a53d1df70f6c81e4aed48c40af"),
+    ('orbit --map affq.json --start "3^-2 * [1 2 0 1 0 2 1 1 0 2 1 0 1 2 0 1 1 1 2 0]" '
+     '--delta-exp 2 --steps 5 --back 5 --two-sided --seed 7 --out orbq.txt', 0,
+     "181f461a8bd2c72359a288b0cf6378d7fa52f9c0a9a5bee9f35f73ca4195baf7"),
+    ('shadow --map affq.json --orbit orbq.txt --solver affine-qp', 0,
+     "f442e2c5b270dd59dfc357a0a675bbddb2dcc2f61dbfc7382de4a8519b46ba92"),
+    ('shadow --map affq.json --orbit orbq.txt --solver dilatation', 0,
+     "a9401d168558e829382b03e9b74af75bb9730889d9638dd1783e5fa09c8cebf4"),
+    ('orbit --map affc.json --start "3^-1 * [2 1 0 1 2 2 0 1 1 0 2 1 0 0 1 2 1 0 2 1]" '
+     '--delta-exp 2 --steps 4 --back 4 --two-sided --seed 11 --out orbc.txt', 0,
+     "ba83ade4566e4a0e522814d82b7cb2a4cc241c1c54fc74794cb48b84306deb7d"),
+    ('shadow --map affc.json --orbit orbc.txt --solver affine-qp', 0,
+     "841909197c569dbc07308413874ebd76fa611c4a1e8878ac9d2e6c2c5416b4a3"),
+    ('conjugate --map shift.json --constructor to-shift --samples 6 --precision 12', 0,
+     "dcc841a5b9ccca2df3c47b0159e6e82d6c4554dece72eff46210058db416867a"),
+    ('conjugate --map t22.json --constructor to-shift --samples 8 --precision 10 --seed 3',
+     0,
+     "99ca509afb9d2cac3fe08d3550591342b1170bb35414b4f69ea1162ffdacbf42"),
+    ('conjugate --map shift.json --constructor to-shift '
+     '--points "2^0 * [1 0 1 1 0 1];2^0 * [0 0 1]"', 0,
+     "ec92aea2ec7725cafb6795b9c122634581e6249bdfd715e02e820c2d310950a5"),
+    ('conjugate --map t21.json --other t21b.json --constructor nearby --horizon 4 '
+     '--samples 6 --precision 10', 0,
+     "3c0e73a2c175c49543c1de6cfa640aadee476475efee9dd90fc993068a45afa4"),
+    ('conjugate --map psi.json --constructor affine-shell '
+     '--a "3^0 * [0 1 0 0 0 0 0 0 0 0 0 0]" --samples 8 --precision 12', 0,
+     "95e5dacdfca36b379b67f2e57ad9ce7c0eb78ebab7006441ec6be76a45960e2c"),
+    ('conjugate --map psi9.json --constructor affine-shell '
+     '--a "3^0 * [0 1 0 0 0 0 0 0 0 0 0 0]" --samples 6 --precision 12 --seed 4', 0,
+     "bc0435d926969dd3c5f8d435dbf10d7f763cff1794ed1c3ce2613011289cd8eb"),
+    ('conjugate --map affq.json --constructor qp-affine --horizon 8 --samples 5 '
+     '--precision 12', 0,
+     "18ef3e613e5a7e6f5b8cca1ee412bb542d2cffba6d63dbe036d3a002e9a831f9"),
+    ('oracle fixed-points --map tj.json --precision 8', 0,
+     "eae8829e71216f1b3253f2e94144bdbe22df6f12d3b61691e3ad068eb5eea86f"),
+    ('oracle arith --p 3 --precision 6 --samples 100 --seed 5', 0,
+     "f0bd7804ab0fcc8364df6012761b6c211990e63a0d0e2ab6b8f5d84b504195a1"),
+]
+
+
+def test_cli_corpus_byte_identical(capsys, tmp_path, monkeypatch):
+    # reports echo their input paths, so the corpus runs on relative names
+    monkeypatch.chdir(tmp_path)
+    _write_corpus_inputs()
+    for line, want_code, want_sha in CLI_CORPUS:
+        code = main(shlex.split(line))
+        out = capsys.readouterr().out
+        assert code == want_code, line
+        assert hashlib.sha256(out.encode()).hexdigest() == want_sha, line

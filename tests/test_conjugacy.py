@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from padicdyn.core import Prime, QpApprox, ZpApprox, distance
+from padicdyn.core import PNorm, Prime, QpApprox, ZpApprox, distance
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
@@ -20,6 +20,7 @@ from padicdyn.maps import (
 from padicdyn.conjugacy import (
     CertificationError,
     ConjugacyMap,
+    ConjugacyReport,
     affine_shell_conjugacy,
     affine_shell_conjugacy_map,
     certify_contraction_factor,
@@ -382,6 +383,36 @@ def test_verify_conjugacy_flags_corruption():
     report = verify_conjugacy(corrupted, ShiftPower(Prime(2), 1), table, samples)
     assert not report.semiconjugacy_ok
     assert report.max_semiconjugacy_residual.exact
+
+
+def test_verify_conjugacy_evaluates_h_once_per_sample():
+    # h = S is no isometry, so the pair loop has deviations and collisions
+    # to report, all of them from the 2n evaluations of h
+    shift = ShiftPower(Prime(2), 1)
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return shift.apply(x)
+
+    samples = [ZpApprox(2, _decode(i, 2, 6)) for i in range(16)]
+    report = verify_conjugacy(h, shift, shift, samples)
+    assert len(calls) == 2 * len(samples)
+    pairs = [(x, y) for i, x in enumerate(samples) for y in samples[i + 1:]]
+    dists = [(distance(x, y), distance(shift.apply(x), shift.apply(y)))
+             for x, y in pairs]
+    assert report == ConjugacyReport(
+        samples_checked=len(samples),
+        semiconjugacy_ok=True,
+        max_semiconjugacy_residual=PNorm(4, exact=False),
+        isometry_deviations=tuple(
+            pair for pair, (din, dout) in zip(pairs, dists)
+            if din.exact and dout.exact and din.exponent != dout.exponent),
+        injectivity_collisions=tuple(
+            pair for pair, (din, dout) in zip(pairs, dists)
+            if din.exact and not dout.exact),
+    )
+    assert report.isometry_deviations and report.injectivity_collisions
 
 
 def test_lipschitz_stability_negative_example():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdyn.analysis import expansivity_check, fixed_points, verify_scaling
 from padicdyn.core import PNorm, PrecisionError, Prime, QpApprox, ZpApprox, distance
 from padicdyn.maps import (
     AffineQp,
@@ -34,6 +35,7 @@ from padicdyn.maps import (
     table_from_spec,
     table_sup_distance_exponent,
 )
+from padicdyn.oracle import brute_fixed_point_count
 
 
 def rand_point(rng, p, n):
@@ -185,6 +187,24 @@ def test_iterate_table_matches_double_eval_exhaustive():
         got = it.table.eval(x)
         want = base.eval(base.eval(x))
         assert got.digits == want.digits[: got.precision]
+
+
+def test_every_map_answers_to_prime_and_apply():
+    # a table, its one-fold iterate, its spec wrapper and the classical spec
+    # are four views of one map: the same prime and the same output digits
+    for spec in (ShiftPower(Prime(3), 1), Tj(Prime(2), 1, 2)):
+        table = table_from_spec(spec)
+        views = (table, iterate_table(table, 1, 6), TableMap(table), spec)
+        assert {v.prime for v in views} == {spec.prime}
+        p = int(spec.prime)
+        for idx in range(p**5):
+            x = ZpApprox(p, _decode(idx, p, 5))
+            assert len({v.apply(x).digits for v in views}) == 1
+    # analysis and the oracles take an iterate table as a map
+    it = iterate_table(table_from_spec(ShiftPower(Prime(2), 1)), 2, 6)
+    assert verify_scaling(it, it.table.klass, 7).verified
+    assert expansivity_check(it, 2, horizon=4, precision=6).all_separated
+    assert brute_fixed_point_count(it, 2, 6) == fixed_points(it).count == 4
 
 
 def test_iterate_composition_law():
