@@ -6,12 +6,15 @@ expansivity means watching distinct truncations separate beyond p^-k under
 iteration.  Both run exhaustively at desk scale and by seeded stratified
 sampling above it, and both report witnesses rather than booleans alone.
 
-Fixed points are counted by the seed-constraint argument, not root finding:
-a fixed point is determined by its first k digits (the seed); the l head
-constraints select the admissible seeds, and bijectivity on the last
-variable extends each admissible seed digit by digit, uniquely.  The count
-is therefore exact, and for shift powers, T_j and R it can be compared with
-the closed forms from the conjugacy-class counting argument.
+Fixed and periodic points are counted by the seed-constraint argument, not
+root finding: a point of period dividing n is determined by its first
+K = nm + l digits (the seed); the l head constraints on f^n select the
+admissible seeds, and bijectivity on the last variable extends each
+admissible seed digit by digit, uniquely.  The extension runs on the shadow
+solver's digit streams and solve step, so no dense iterate table is built;
+fixed points are the case n = 1.  The count is therefore exact, and for
+shift powers, T_j and R it can be compared with the closed forms from the
+conjugacy-class counting argument.
 """
 
 from __future__ import annotations
@@ -21,19 +24,18 @@ from dataclasses import dataclass
 
 from .core import PadicError, PNorm, PrecisionError, ZpApprox, distance
 from .maps import (
+    DepthExhausted,
     DigitFunctionTable,
     IterateTable,
     MapSpec,
     Rmap,
     ScalingClass,
     ShiftPower,
-    TableMap,
     Tj,
     _decode,
-    _encode,
-    iterate_table,
     table_from_spec,
 )
+from .shadowing import _DigitStream, _extend_stream, _solve_next_digit
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ class FixedPointReport:
     iterate_n: int
     klass: ScalingClass
     count: int
-    seeds: tuple  # admissible seeds in A^k
+    seeds: tuple  # admissible seeds in A^K, K = klass.k
     points: tuple  # each seed extended to working precision (ZpApprox)
     closed_form: int | None  # the classical closed-form prediction, when one exists
 
@@ -283,84 +285,61 @@ def _resolve_table(map_like, depth_hint: int):
     if isinstance(map_like, IterateTable):
         return map_like.table, f"iterate({map_like.n})", None
     if isinstance(map_like, MapSpec):
-        table = (map_like.table if isinstance(map_like, TableMap)
-                 else table_from_spec(map_like, depth=depth_hint))
-        return table, map_like.__class__.__name__, map_like
+        return (table_from_spec(map_like, depth=depth_hint),
+                map_like.__class__.__name__, map_like)
     raise TypeError(f"not a map: {map_like!r}")
 
 
 def fixed_points(map_like, *, precision: int = 12) -> FixedPointReport:
-    """Exact fixed points of a table map via seed enumeration.
-
-    Seeds are the p^k tuples (x_0..x_{k-1}); a seed is admissible when it
-    satisfies the l head constraints x_i = f_i(seed).  Each admissible seed
-    extends uniquely: for i >= l the constraint x_i = f_i(x_0..x_{k-l+i})
-    determines the digit x_{k-l+i} by bijectivity on the last variable.
-    """
-    table, map_id, spec = _resolve_table(map_like, depth_hint=precision)
-    p = table.prime
-    k, m, l = table.klass.k, table.klass.m, table.klass.l
-    seeds = []
-    points = []
-    for idx in range(p**k):
-        digs = _decode(idx, p, k)
-        if any(table.digit_value(i, idx) != digs[i] for i in range(l)):
-            continue
-        seeds.append(digs)
-        ext = list(digs)
-        i = l
-        base = _encode(ext, p)
-        pw = p**k
-        while len(ext) < precision and table.has_digit(i):
-            matches = [c for c in range(p)
-                       if table.digit_value(i, base + c * pw) == ext[i]]
-            if len(matches) != 1:
-                raise PadicError(
-                    f"tail extension failed at digit {i} for seed {digs}: "
-                    f"{len(matches)} candidates (corrupt table)"
-                )
-            ext.append(matches[0])
-            base += matches[0] * pw
-            pw *= p
-            i += 1
-        points.append(ZpApprox(p, tuple(ext)))
-    closed = closed_form_fixed_points(spec) if spec is not None else None
-    return FixedPointReport(
-        map_id=map_id,
-        iterate_n=1,
-        klass=table.klass,
-        count=len(seeds),
-        seeds=tuple(seeds),
-        points=tuple(points),
-        closed_form=closed,
-    )
+    """Exact fixed points of a table map: :func:`periodic_points` at n = 1."""
+    return periodic_points(map_like, 1, precision=precision)
 
 
 def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointReport:
-    """Points of period dividing n: fixed points of the realized n-th iterate.
+    """Exact points of period dividing n, by seed enumeration.
 
-    These counts are conjugacy invariants and are what separates scaling
-    classes that share every fixed-point count.
+    f^n is (p^-K, p^(nm)) locally scaling with K = nm + l, so such a point
+    is fixed by its first K digits (the seed).  The level streams hold
+    f^j(seed), j = 1..n; a seed is admissible when the l head digits of
+    f^n(seed) equal its own, and it extends uniquely, one digit per solve
+    step, until it has ``precision`` digits or the table has no digit
+    function for the next one.  These counts are conjugacy invariants and
+    are what separates scaling classes that share every fixed-point count.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
     table, map_id, spec = _resolve_table(map_like, depth_hint=precision)
-    if n == 1:
-        report = fixed_points(map_like, precision=precision)
-        return report
+    p = table.prime
     m, l = table.klass.m, table.klass.l
-    depth = max(l + 1, precision - n * m, 1)
-    it = iterate_table(table, n, depth)
-    report = fixed_points(it, precision=precision)
-    closed = closed_form_fixed_points(spec, iterate_n=n) if spec is not None else None
+    K = n * m + l
+    seeds = []
+    points = []
+    for idx in range(p**K):
+        seed = _decode(idx, p, K)
+        levels = [_DigitStream(p, seed)]
+        for j in range(n):
+            levels.append(_DigitStream(p))
+            _extend_stream(table, levels[j], levels[j + 1])
+        if len(levels[n]) < l:
+            raise DepthExhausted(
+                f"the table cannot give the {l} head digits of iterate {n}")
+        if levels[n].digits != levels[0].digits[:l]:
+            continue
+        seeds.append(seed)
+        z = levels[0]
+        while len(z) < precision and table.has_digit(len(levels[1])):
+            i = len(levels[n])
+            _solve_next_digit(table, levels, n, i, z.digits[i])
+        points.append(ZpApprox(p, tuple(z.digits)))
     return FixedPointReport(
-        map_id=f"{map_id}^({n})",
+        map_id=map_id if n == 1 else f"{map_id}^({n})",
         iterate_n=n,
-        klass=it.table.klass,
-        count=report.count,
-        seeds=report.seeds,
-        points=report.points,
-        closed_form=closed,
+        klass=ScalingClass(K, n * m),
+        count=len(seeds),
+        seeds=tuple(seeds),
+        points=tuple(points),
+        closed_form=(closed_form_fixed_points(spec, iterate_n=n)
+                     if spec is not None else None),
     )
 
 

@@ -146,10 +146,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_fixed_points(args) -> dict:
     spec = _load_map(args.map)
-    if args.iterate and args.iterate > 1:
-        report = periodic_points(spec, args.iterate, precision=args.precision)
-    else:
-        report = fixed_points(spec, precision=args.precision)
+    report = periodic_points(spec, args.iterate, precision=args.precision)
     out = {
         "command": "fixed-points",
         "map": args.map,
@@ -321,6 +318,10 @@ def cmd_orbit(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    needs = {"fixed-points": ("map",), "shadow": ("map", "orbit")}
+    for option in needs.get(args.oracle, ()):
+        if getattr(args, option) is None:
+            raise _ParseFailure(f"oracle {args.oracle} needs --{option}")
     if args.oracle == "fixed-points":
         spec = _load_map(args.map)
         report = fixed_points(spec, precision=args.precision)

@@ -858,9 +858,12 @@ def spec_from_dict(d: dict) -> MapSpec:
         raise ValueError(f"a map spec must be a JSON object, got {type(d).__name__}")
     try:
         builder = _SPEC_TYPES[d["type"]]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown map spec type {d.get('type')!r}") from None
-    return builder(d)
+    try:
+        return builder(d)
+    except TypeError as exc:
+        raise ValueError(f"malformed {d['type']} map spec: {exc}") from exc
 
 
 def dumps_spec(spec: MapSpec) -> str:

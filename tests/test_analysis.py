@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from padicdyn.analysis import (
     ScalingClass,
     closed_form_fixed_points,
@@ -13,10 +15,14 @@ from padicdyn.analysis import (
 )
 from padicdyn.core import ZpApprox, distance
 from padicdyn.maps import (
+    DepthExhausted,
+    DigitFunctionTable,
     Prime,
     Rmap,
     ShiftPower,
     Tj,
+    iterate,
+    iterate_table,
     random_table,
     table_from_spec,
 )
@@ -172,6 +178,49 @@ def test_periodic_points_random_table_vs_brute_force():
         report = periodic_points(table, n, precision=8)
         brute = brute_periodic_point_count(table, 2, n, n + 8)
         assert report.count == brute
+    for seed, expect in [(0, 29), (1, 27), (2, 27)]:
+        table = random_table(random.Random(seed), 3, ScalingClass(2, 1), 8)
+        report = periodic_points(table, 3, precision=12)
+        assert report.count == expect == brute_periodic_point_count(table, 3, 3, 7)
+        for pt in report.points:
+            y = iterate(table, 3, pt)
+            assert pt.precision == 12 and y.digits == pt.digits[: y.precision]
+
+
+def test_periodic_points_match_dense_iterate_table():
+    # the dense iterate table is an independent route to the same points
+    rng = random.Random(29)
+    P = 9
+    for p in (2, 3):
+        for k, m in [(1, 1), (2, 1), (3, 2)]:
+            klass = ScalingClass(k, m)
+            table = random_table(rng, p, klass, klass.l + 2)
+            for n in (2, 3):
+                report = periodic_points(table, n, precision=P)
+                dense = fixed_points(
+                    iterate_table(table, n, max(klass.l + 1, P - n * m)), precision=P)
+                assert (report.count, report.seeds, report.points) == (
+                    dense.count, dense.seeds, dense.points), (p, k, m, n)
+                assert report.klass == dense.klass
+
+
+def test_periodic_points_stop_at_table_depth():
+    # a table without tail projection gives the points of its projection copy,
+    # cut where its last digit function ends
+    rng = random.Random(31)
+    table = random_table(rng, 2, ScalingClass(2, 1), 5, tail_projection=False)
+    copy = DigitFunctionTable(table.prime, table.klass, table.tables,
+                              tail_projection=True)
+    short = periodic_points(table, 2, precision=12)
+    full = periodic_points(copy, 2, precision=12)
+    assert short.count == full.count > 0 and short.seeds == full.seeds
+    for a, b in zip(short.points, full.points):
+        assert a.precision == 6 < b.precision == 12
+        assert a.digits == b.digits[: a.precision]
+    # too shallow for the head digits of f^2 itself
+    shallow = random_table(rng, 2, ScalingClass(2, 1), 1, tail_projection=False)
+    with pytest.raises(DepthExhausted):
+        periodic_points(shallow, 2, precision=12)
 
 
 def test_conjugacy_invariance_of_counts():

@@ -237,6 +237,24 @@ def test_exit_codes(specs, capsys, tmp_path):
             code = main(command + ["--map", str(shift_path), "--orbit", str(bad_orbit)])
             capsys.readouterr()
             assert code == 2, (command, text)
+    # parse error: spec fields of the wrong JSON type
+    for text in ('{"type":"shift_power","p":[2],"m":1}',
+                 '{"type":"compose","p":2,"parts":5}',
+                 '{"type":"table","p":2,"k":2,"m":1,"tables":7}',
+                 '{"type":"substitution","p":2,"rules":[[0,1],5]}',
+                 '{"type":[1]}'):
+        bad.write_text(text)
+        assert main(["validate", "--map", str(bad)]) == 2, text
+        capsys.readouterr()
+    # parse error: an oracle mode without the file options it reads
+    for command in (["oracle", "shadow", "--map", str(shift_path)],
+                    ["oracle", "fixed-points"]):
+        assert main(command) == 2, command
+        capsys.readouterr()
+    # precondition: a period below 1
+    for n in ("0", "-2"):
+        assert main(["fixed-points", "--map", str(shift_path), "--iterate", n]) == 3, n
+        capsys.readouterr()
 
 
 # ------------------------------------------------------- byte-identical corpus
