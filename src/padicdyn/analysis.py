@@ -308,6 +308,8 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
     """
     if n < 1:
         raise ValueError("period must be >= 1")
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     table, map_id, spec = _resolve_table(map_like, depth_hint=precision)
     p = table.prime
     m, l = table.klass.m, table.klass.l

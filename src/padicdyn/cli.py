@@ -37,6 +37,7 @@ from .core import (
     PadicError,
     PrecisionError,
     Prime,
+    PrimeMismatch,
     QpApprox,
     ZeroAtPrecision,
     ZpApprox,
@@ -204,6 +205,8 @@ def cmd_shadow(args) -> dict:
 
 
 def _sample_points(spec: MapSpec, n: int, precision: int, seed: int):
+    if n < 0:
+        raise ValueError(f"--samples must be >= 0, got {n}")
     rng = random.Random(seed)
     p = spec.prime
     if spec.domain == "qp":
@@ -367,6 +370,8 @@ def cmd_oracle(args) -> dict:
             raise VerificationFailure("solver disagrees with exhaustive search", out)
         return out
     if args.oracle == "arith":
+        if args.samples < 0:
+            raise ValueError(f"--samples must be >= 0, got {args.samples}")
         p = Prime(args.p)
         N = args.precision
         rng = random.Random(args.seed)
@@ -495,7 +500,8 @@ def main(argv=None) -> int:
             CertificationError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return EXIT_VERIFICATION
-    except (PrecisionError, ZeroAtPrecision, DepthExhausted, ValueError) as exc:
+    except (PrecisionError, ZeroAtPrecision, DepthExhausted, PrimeMismatch,
+            ValueError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
     except PadicError as exc:

@@ -25,12 +25,14 @@ Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 
 from .core import (
     PadicError,
     PrecisionError,
     Prime,
+    PrimeMismatch,
     QpApprox,
     ZeroAtPrecision,
     ZpApprox,
@@ -103,6 +105,13 @@ class DigitFunctionTable:
     With ``tail_projection`` set, output digits at i >= len(tables) use the
     projection onto the last variable, so the map is defined at every depth.
     ``eval`` is another name for ``apply``.
+
+    Because every digit function at i >= l is a bijection in its last
+    variable, it has an inverse in that variable: :meth:`inverse_value`.  The
+    inverse of a stored function is built from ``tables[i]`` the first time
+    it is asked for and kept on the table, one byte per entry while p <= 256;
+    it takes no part in equality or hashing.  ``stored_depth`` (the number of
+    stored functions) and ``l`` are plain attributes.
     """
 
     prime: Prime
@@ -114,6 +123,9 @@ class DigitFunctionTable:
         if not isinstance(self.prime, Prime):
             object.__setattr__(self, "prime", Prime(self.prime))
         object.__setattr__(self, "tables", tuple(tuple(t) for t in self.tables))
+        object.__setattr__(self, "stored_depth", len(self.tables))
+        object.__setattr__(self, "l", self.klass.l)
+        object.__setattr__(self, "_inverses", [None] * self.stored_depth)
         p = self.prime
         for i, table in enumerate(self.tables):
             a = self.arity(i)
@@ -121,40 +133,62 @@ class DigitFunctionTable:
                 raise ValueError(
                     f"digit function {i} has {len(table)} entries, expected {p}**{a}"
                 )
-            for entry in table:
-                if not 0 <= entry < p:
-                    raise ValueError(f"digit function {i} has out-of-range entry {entry}")
-            if i >= self.klass.l:
+            if min(table) < 0 or max(table) >= p:
+                entry = next(e for e in table if not 0 <= e < p)
+                raise ValueError(f"digit function {i} has out-of-range entry {entry}")
+            if i >= self.l:
                 P = p ** (a - 1)
                 for prefix in range(P):
-                    seen = {table[prefix + c * P] for c in range(p)}
-                    if len(seen) != p:
+                    if len(set(table[prefix::P])) != p:
                         raise BijectivityViolation(i, _decode(prefix, p, a - 1))
 
-    @property
-    def stored_depth(self) -> int:
-        return len(self.tables)
-
     def arity(self, i: int) -> int:
-        k, l = self.klass.k, self.klass.l
+        k, l = self.klass.k, self.l
         return k if i < l else k - l + i + 1
 
     def has_digit(self, i: int) -> bool:
-        return i < self.stored_depth or (self.tail_projection and i >= self.klass.l)
+        return i < self.stored_depth or (self.tail_projection and i >= self.l)
 
     def digit_value(self, i: int, idx: int) -> int:
         """Value of digit function i at the encoded argument tuple."""
         if i < self.stored_depth:
             return self.tables[i][idx]
-        if self.tail_projection and i >= self.klass.l:
-            return idx // self.prime ** (self.arity(i) - 1)
+        if self.tail_projection and i >= self.l:
+            return idx // self.prime ** (self.klass.m + i)
         raise DepthExhausted(f"no digit function at output index {i}")
+
+    def inverse_value(self, i: int, idx: int) -> int:
+        """The last argument c with f_i(prefix, c) = target, for a digit
+        function i >= l and idx = prefix + target * P, P = p^(arity(i)-1)."""
+        if i < self.stored_depth:
+            inverse = self._inverses[i]
+            if inverse is None:
+                inverse = self._build_inverse(i)
+            return inverse[idx]
+        if self.tail_projection and i >= self.l:
+            return idx // self.prime ** (self.klass.m + i)
+        raise DepthExhausted(f"no digit function at output index {i}")
+
+    def _build_inverse(self, i: int):
+        if i < self.l:
+            raise ValueError(f"head digit function {i} is not bijective in its last variable")
+        p = self.prime
+        table = self.tables[i]
+        P = len(table) // p
+        typecode = next(tc for tc in "BHIQ" if p <= 1 << 8 * array(tc).itemsize)
+        inverse = array(typecode, [0]) * len(table)
+        for c in range(p):
+            for prefix, target in enumerate(table[c * P:(c + 1) * P]):
+                inverse[prefix + target * P] = c
+        self._inverses[i] = inverse
+        return inverse
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         """Apply the map; the result has precision N - (k-l), capped by depth."""
         if x.prime != self.prime:
-            raise PadicError(f"primes {x.prime} and {self.prime}")
-        k, m, l = self.klass.k, self.klass.m, self.klass.l
+            raise PrimeMismatch(f"primes {x.prime} and {self.prime}")
+        k, m, l = self.klass.k, self.klass.m, self.l
+        depth = self.stored_depth
         n_out = x.precision - m
         if x.precision < k or n_out < 1:
             raise PrecisionError(
@@ -162,19 +196,23 @@ class DigitFunctionTable:
                 f"({self.prime}^-{k}, {self.prime}^{m}) table map"
             )
         if not self.tail_projection:
-            n_out = min(n_out, self.stored_depth)
+            n_out = min(n_out, depth)
             if n_out < 1:
                 raise DepthExhausted("table depth exhausted before the first digit")
-        p = self.prime
-        out = []
-        acc = _encode(x.digits[:k], p)
+        if min(l, n_out) > depth:
+            raise DepthExhausted(f"no digit function at output index {depth}")
+        p, digits, tables = self.prime, x.digits, self.tables
+        acc = _encode(digits[:k], p)
+        out = [tables[i][acc] for i in range(min(l, n_out))]
         pw = p**k
-        for i in range(min(l, n_out)):
-            out.append(self.digit_value(i, acc))
-        for i in range(l, n_out):
-            acc += x.digits[k - l + i] * pw
+        for i in range(l, min(n_out, depth)):
+            acc += digits[m + i] * pw
             pw *= p
-            out.append(self.digit_value(i, acc))
+            out.append(tables[i][acc])
+        # the projection tail: output digit i is input digit m + i
+        start = max(l, depth)
+        if n_out > start:
+            out.extend(digits[m + start:m + n_out])
         return ZpApprox(p, tuple(out))
 
     eval = apply
@@ -196,8 +234,7 @@ def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,
             for prefix in range(P):
                 perm = list(range(p))
                 rng.shuffle(perm)
-                for c in range(p):
-                    entries[prefix + c * P] = perm[c]
+                entries[prefix::P] = perm
             tables.append(tuple(entries))
     return DigitFunctionTable(p, klass, tuple(tables), tail_projection=tail_projection)
 
@@ -235,8 +272,10 @@ def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
     """Exact ||f - g||_inf as an exponent: the first output digit where the
     tables differ, by exhaustive comparison through ``depth``.  None means the
     maps agree on every compared digit (sup distance <= p^-depth)."""
-    if f.prime != g.prime or f.klass != g.klass:
-        raise PadicError("tables must share prime and scaling class")
+    if f.prime != g.prime:
+        raise PrimeMismatch(f"tables over primes {f.prime} and {g.prime}")
+    if f.klass != g.klass:
+        raise PadicError(f"tables of classes {f.klass} and {g.klass}")
     p = f.prime
     for i in range(depth):
         a = f.arity(i)
@@ -265,7 +304,7 @@ class MapSpec:
                 f"domain mismatch: {type(self).__name__} acts on "
                 f"{self.domain}, got {type(x).__name__}")
         if x.prime != self.prime:
-            raise PadicError(f"primes {x.prime} and {self.prime}")
+            raise PrimeMismatch(f"primes {x.prime} and {self.prime}")
 
     def min_input_precision(self, n_out: int) -> int:
         """Input digits needed to determine n_out output digits."""

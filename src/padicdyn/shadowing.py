@@ -11,13 +11,15 @@ Solvers:
   (delta = p^-(k+s) when m = k), the shadow point y starts as the first
   k+s digits of x_0; step n then forces digits l+s..k+s-1 of f^n(y) to
   match the n-th orbit point, which pins down the next k-l digits of y,
-  one at a time, through the bijectivity of the digit functions on their
-  last variable.  The solver never materializes the iterate tower; it
-  maintains f^j(y) lazily as digit streams and back-substitutes one digit
-  at a time, asserting the proof's progress index (y determined through
-  nk-(n-1)l+s-1 after step n) at every step.  The one-digit step,
-  ``_solve_next_digit``, also inverts the isometry onto S^k in
-  :mod:`padicdyn.conjugacy`.
+  one at a time: each digit function is a bijection in its last variable,
+  so each digit is read from that bijection's inverse, one lookup per
+  iterate level from f^n down to y, and re-checked through the forward
+  tables.  The solver never materializes the iterate tower; it maintains
+  f^j(y) lazily as digit streams, asserting the proof's progress index (y
+  determined through nk-(n-1)l+s-1 after step n) at every step.  The
+  one-digit step, ``_solve_next_digit``, also inverts the isometry onto S^k
+  in :mod:`padicdyn.conjugacy` and extends fixed and periodic points in
+  :mod:`padicdyn.analysis`.
 
 * ``shadow_lipschitz`` -- a 1-Lipschitz map is shadowed by x_0 itself;
   the certification method for the Lipschitz bound is recorded.
@@ -244,9 +246,10 @@ class _DigitStream:
             self.append(d)
 
     def append(self, d: int) -> None:
+        pw = self.pw[-1]
         self.digits.append(d)
-        self.cumacc.append(self.cumacc[-1] + d * self.pw[-1])
-        self.pw.append(self.pw[-1] * self.p)
+        self.cumacc.append(self.cumacc[-1] + d * pw)
+        self.pw.append(pw * self.p)
 
     def prefix_index(self, t: int) -> int:
         return self.cumacc[t]
@@ -258,18 +261,24 @@ class _DigitStream:
 def _extend_stream(table: DigitFunctionTable, prev: _DigitStream,
                    cur: _DigitStream) -> None:
     """Append every digit of f(prev) that prev's digits determine."""
-    k, l = table.klass.k, table.klass.l
-    while True:
-        i = len(cur)
-        if i < l:
-            if len(prev) < k:
-                return
-            cur.append(table.digit_value(i, prev.prefix_index(k)))
-            continue
-        need = k - l + i + 1
-        if len(prev) < need or not table.has_digit(i):
-            return
-        cur.append(table.digit_value(i, prev.prefix_index(need)))
+    k, l, depth = table.klass.k, table.l, table.stored_depth
+    tables, digits, cumacc = table.tables, prev.digits, prev.cumacc
+    have = len(digits)
+    if have < k:
+        return
+    i = len(cur.digits)
+    while i < l:
+        cur.append(table.digit_value(i, cumacc[k]))
+        i += 1
+    # digit i >= l reads prev digits 0..need-1, need = k-l+i+1 <= have
+    stop = have - k + l
+    stored_stop = min(stop, depth)
+    while i < stored_stop:
+        cur.append(tables[i][cumacc[k - l + i + 1]])
+        i += 1
+    if table.tail_projection:
+        for i in range(i, stop):
+            cur.append(digits[k - l + i])
 
 
 def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
@@ -278,37 +287,32 @@ def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
     of f^n equal ``target``, then extend levels 1..n.
 
     ``levels[j]`` holds the digits of f^j(levels[0]) that levels[0]
-    determines.  The next digit of levels[0] is the last variable of the next
-    digit function at every level, so each candidate cascades through one
-    lookup per level; bijectivity on the last variable makes the admissible
-    candidate unique.  Raises :class:`ConstraintUnsolvable` at step ``n``.
+    determines.  The next digit of levels[j-1] is the last variable of the
+    next digit function of levels[j], a bijection in that variable, so the
+    digit is found by walking down from level n with one lookup per level in
+    that function's inverse (:meth:`DigitFunctionTable.inverse_value`).  The
+    levels are then extended through the forward tables, and the digit is
+    kept only if it gives ``target`` there.  Raises
+    :class:`ConstraintUnsolvable` at step ``n``.
     """
-    cascade = []
-    for j in range(1, n + 1):
-        prev, i = levels[j - 1], len(levels[j])
-        if not table.has_digit(i):
-            raise ConstraintUnsolvable(n, i, "table depth exhausted")
-        t = len(prev)
-        cascade.append((i, prev.prefix_index(t), prev.pw[t]))
-    if cascade[-1][0] != digit_index:
+    # level 1 holds the largest digit index, so it runs out of table first
+    if not table.has_digit(len(levels[1].digits)):
+        raise ConstraintUnsolvable(n, len(levels[1].digits), "table depth exhausted")
+    if len(levels[n].digits) != digit_index:
         raise PadicError("internal: cascade index drift")
-    found = None
-    for c in range(table.prime):
-        d = c
-        for i, base, weight in cascade:
-            d = table.digit_value(i, base + d * weight)
-        if d == target:
-            if found is not None:
-                raise ConstraintUnsolvable(
-                    n, digit_index, "two admissible digits: table lacks bijectivity")
-            found = c
-    if found is None:
-        raise ConstraintUnsolvable(
-            n, digit_index, "no admissible digit: certified delta violated or "
-            "table lacks bijectivity")
-    levels[0].append(found)
+    inverse = table.inverse_value
+    d = target
+    for j in range(n, 0, -1):
+        prev = levels[j - 1]
+        d = inverse(len(levels[j].digits), prev.cumacc[-1] + d * prev.pw[-1])
+    levels[0].append(d)
     for j in range(1, n + 1):
         _extend_stream(table, levels[j - 1], levels[j])
+    top = levels[n].digits
+    if len(top) <= digit_index or top[digit_index] != target:
+        raise ConstraintUnsolvable(
+            n, digit_index, "no admissible digit: the solved digit fails the "
+            "forward tables, so the table lacks bijectivity")
 
 
 def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,

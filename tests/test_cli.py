@@ -255,6 +255,35 @@ def test_exit_codes(specs, capsys, tmp_path):
     for n in ("0", "-2"):
         assert main(["fixed-points", "--map", str(shift_path), "--iterate", n]) == 3, n
         capsys.readouterr()
+    # precondition: a map and its inputs over different primes
+    orbit3 = tmp_path / "orbit3.txt"
+    orbit3.write_text(
+        "# prime=3 domain=zp delta_exponent=1 delta_exact=0 start_index=0 count=2\n"
+        "3^0 * [1 0 1 2 0]\n3^0 * [0 1 2 0]\n")
+    table2, table3 = tmp_path / "t2.json", tmp_path / "t3.json"
+    for path, p in ((table2, 2), (table3, 3)):
+        save_spec(TableMap(random_table(random.Random(1), p, ScalingClass(1, 1), 4)), path)
+    point3 = "3^0 * [1 0 1]"
+    for command in (
+            ["shadow", "--map", str(shift_path), "--orbit", str(orbit3)],
+            ["shadow", "--map", str(table2), "--orbit", str(orbit3)],
+            ["oracle", "shadow", "--map", str(shift_path), "--orbit", str(orbit3)],
+            ["orbit", "--map", str(shift_path), "--start", point3, "--delta-exp", "1",
+             "--steps", "2", "--seed", "0", "--out", str(tmp_path / "o.txt")],
+            ["conjugate", "--map", str(table2), "--constructor", "to-shift",
+             "--points", point3],
+            ["conjugate", "--map", str(table2), "--constructor", "nearby",
+             "--other", str(table3)]):
+        assert main(command) == 3, command
+        capsys.readouterr()
+    # precondition: negative precision and sample counts
+    for command in (["fixed-points", "--map", str(shift_path), "--precision", "0"],
+                    ["fixed-points", "--map", str(shift_path), "--precision", "-1"],
+                    ["oracle", "arith", "--samples", "-1"],
+                    ["conjugate", "--map", str(table2), "--constructor", "to-shift",
+                     "--samples", "-1"]):
+        assert main(command) == 3, command
+        capsys.readouterr()
 
 
 # ------------------------------------------------------- byte-identical corpus

@@ -76,6 +76,45 @@ def test_table_bijectivity_check():
     with pytest.raises(BijectivityViolation) as exc:
         DigitFunctionTable(Prime(2), ScalingClass(1, 1), ((0, 0, 0, 0),))
     assert exc.value.digit_index == 0
+    # the witness is the first failing prefix: prefix 0 is a bijection, 1 is not
+    with pytest.raises(BijectivityViolation) as exc:
+        DigitFunctionTable(Prime(2), ScalingClass(1, 1), ((0, 0, 1, 0),))
+    assert (exc.value.digit_index, exc.value.prefix) == (0, (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_inverse_value_inverts_every_tail_function(p, km, tail, seed):
+    # f_i(prefix, inverse(prefix + t*P)) = t for every tail function the table
+    # has, stored or projected; prefixes are sampled where there are many
+    rng = random.Random(seed)
+    klass = ScalingClass(*km)
+    depth = klass.l + (2 if p < 5 else 1)
+    table = random_table(rng, p, klass, depth, tail_projection=tail)
+    for i in range(klass.l, depth + 2):
+        if not table.has_digit(i):
+            assert not tail and i >= depth
+            continue
+        P = p ** (table.arity(i) - 1)
+        prefixes = range(P) if P <= 128 else rng.sample(range(P), 128)
+        for prefix in prefixes:
+            for t in range(p):
+                c = table.inverse_value(i, prefix + t * P)
+                assert 0 <= c < p
+                assert table.digit_value(i, prefix + c * P) == t
+
+
+def test_built_inverses_leave_equality_and_hash_alone():
+    table = random_table(random.Random(3), 3, ScalingClass(2, 1), 4)
+    fresh = random_table(random.Random(3), 3, ScalingClass(2, 1), 4)
+    for i in range(table.klass.l, table.stored_depth):
+        table.inverse_value(i, 0)
+    assert all(inv is not None for inv in table._inverses[table.klass.l:])
+    assert table == fresh and hash(table) == hash(fresh)
+    with pytest.raises(ValueError):
+        table.inverse_value(0, 0)  # a head function has no inverse
 
 
 def test_table_size_check():

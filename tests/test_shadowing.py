@@ -27,6 +27,9 @@ from padicdyn.shadowing import (
     CertificationError,
     ConstraintUnsolvable,
     PseudoOrbit,
+    _DigitStream,
+    _extend_stream,
+    _solve_next_digit,
     certify_expansion,
     certify_one_lipschitz,
     load_orbit_points,
@@ -183,6 +186,63 @@ def test_shadow_detects_lying_residuals():
     assert not lying.validate(table)
     with pytest.raises(ConstraintUnsolvable):
         shadow_locally_scaling(table, lying, s=1)
+
+
+def _brute_next_digits(table, levels, n, target):
+    """Every digit c whose cascade through the forward digit functions of
+    levels 1..n gives ``target``: the p-candidate search, as a reference."""
+    found = []
+    for c in range(table.prime):
+        d = c
+        for j in range(1, n + 1):
+            prev = levels[j - 1]
+            t = len(prev)
+            d = table.digit_value(len(levels[j]), prev.prefix_index(t) + d * prev.p**t)
+        if d == target:
+            found.append(c)
+    return found
+
+
+def test_solve_next_digit_agrees_with_candidate_search():
+    rng = random.Random(29)
+    for p, klass, tail in [(2, (1, 1), True), (2, (2, 1), False), (3, (2, 1), True),
+                           (3, (3, 2), True), (5, (2, 2), False), (5, (1, 1), True)]:
+        k, m = klass
+        table = random_table(rng, p, ScalingClass(k, m), k + 3, tail_projection=tail)
+        for n in (1, 2, 3):
+            levels = [_DigitStream(p, [rng.randrange(p) for _ in range(n * m + k - m)])]
+            for j in range(n):
+                levels.append(_DigitStream(p))
+                _extend_stream(table, levels[j], levels[j + 1])
+            while table.has_digit(len(levels[1])):
+                target = rng.randrange(p)
+                want = _brute_next_digits(table, levels, n, target)
+                assert len(want) == 1
+                i = len(levels[n])
+                _solve_next_digit(table, levels, n, i, target)
+                assert levels[0].digits[-1] == want[0]
+                assert levels[n].digits[i] == target
+                if len(levels[0]) > 40:
+                    break
+
+
+def test_corrupt_inverse_fails_the_forward_recheck():
+    rng = random.Random(31)
+    table = random_table(rng, 2, ScalingClass(2, 1), 8)
+    x0 = rand_point(rng, 2, 2 + 6 + 1)
+    orbit = perturb_orbit(table, x0, 1, 6, seed=37)
+    good = shadow_locally_scaling(table, orbit)
+    # at p = 2, flipping every entry of a built inverse makes each solve
+    # through digit function 1 pick the wrong digit, which the solve step's
+    # forward re-check must reject
+    assert table._inverses[1] is not None
+    inverse = table._inverses[1]
+    for idx in range(len(inverse)):
+        inverse[idx] ^= 1
+    with pytest.raises(ConstraintUnsolvable):
+        shadow_locally_scaling(table, orbit)
+    fresh = random_table(random.Random(31), 2, ScalingClass(2, 1), 8)
+    assert shadow_locally_scaling(fresh, orbit).point == good.point
 
 
 def test_shadow_monotone_in_delta():
