@@ -25,7 +25,6 @@ Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 
 from .core import (
@@ -104,14 +103,14 @@ class DigitFunctionTable:
 
     With ``tail_projection`` set, output digits at i >= len(tables) use the
     projection onto the last variable, so the map is defined at every depth.
-    ``eval`` is another name for ``apply``.
+    ``eval`` is another name for ``apply``.  :meth:`output_digits` is the
+    forward evaluation that ``apply`` and the solvers' digit streams share.
 
     Because every digit function at i >= l is a bijection in its last
-    variable, it has an inverse in that variable: :meth:`inverse_value`.  The
-    inverse of a stored function is built from ``tables[i]`` the first time
-    it is asked for and kept on the table, one byte per entry while p <= 256;
-    it takes no part in equality or hashing.  ``stored_depth`` (the number of
-    stored functions) and ``l`` are plain attributes.
+    variable, it has an inverse in that variable: :meth:`inverse_value`
+    finds it in the function's own table, so no inverse is stored.
+    ``stored_depth`` (the number of stored functions) and ``l`` are plain
+    attributes.
     """
 
     prime: Prime
@@ -125,7 +124,6 @@ class DigitFunctionTable:
         object.__setattr__(self, "tables", tuple(tuple(t) for t in self.tables))
         object.__setattr__(self, "stored_depth", len(self.tables))
         object.__setattr__(self, "l", self.klass.l)
-        object.__setattr__(self, "_inverses", [None] * self.stored_depth)
         p = self.prime
         for i, table in enumerate(self.tables):
             a = self.arity(i)
@@ -157,63 +155,69 @@ class DigitFunctionTable:
             return idx // self.prime ** (self.klass.m + i)
         raise DepthExhausted(f"no digit function at output index {i}")
 
-    def inverse_value(self, i: int, idx: int) -> int:
+    def inverse_value(self, i: int, prefix: int, target: int) -> int:
         """The last argument c with f_i(prefix, c) = target, for a digit
-        function i >= l and idx = prefix + target * P, P = p^(arity(i)-1)."""
+        function i >= l; ``prefix`` encodes the first arity(i) - 1 arguments.
+
+        Row ``prefix::P`` of ``tables[i]`` (P = p^(arity(i)-1)) holds the p
+        values f_i(prefix, c), so c is the position of ``target`` in it; a
+        projection digit inverts to ``target`` itself.  Raises ValueError
+        when ``target`` is not a value of the row."""
         if i < self.stored_depth:
-            inverse = self._inverses[i]
-            if inverse is None:
-                inverse = self._build_inverse(i)
-            return inverse[idx]
+            row = self.tables[i]
+            return row[prefix::len(row) // self.prime].index(target)
         if self.tail_projection and i >= self.l:
-            return idx // self.prime ** (self.klass.m + i)
+            return target
         raise DepthExhausted(f"no digit function at output index {i}")
 
-    def _build_inverse(self, i: int):
-        if i < self.l:
-            raise ValueError(f"head digit function {i} is not bijective in its last variable")
-        p = self.prime
-        table = self.tables[i]
-        P = len(table) // p
-        typecode = next(tc for tc in "BHIQ" if p <= 1 << 8 * array(tc).itemsize)
-        inverse = array(typecode, [0]) * len(table)
-        for c in range(p):
-            for prefix, target in enumerate(table[c * P:(c + 1) * P]):
-                inverse[prefix + target * P] = c
-        self._inverses[i] = inverse
-        return inverse
+    def output_digits(self, digits, cumacc, start: int) -> list:
+        """Output digits start, start + 1, ... at an input whose known digits
+        are ``digits``, where ``cumacc[t]`` encodes ``digits[:t]``: every
+        output digit those digits determine, up to the table's depth.
+        Raises :class:`DepthExhausted` when a head function (i < l) is not
+        stored."""
+        k, m, l, depth = self.klass.k, self.klass.m, self.l, self.stored_depth
+        if len(digits) < k:
+            return []
+        tables, out, i = self.tables, [], start
+        if i < l:
+            if depth < l:
+                raise DepthExhausted(f"no digit function at output index {max(i, depth)}")
+            acc = cumacc[k]
+            while i < l:
+                out.append(tables[i][acc])
+                i += 1
+        # output digit i >= l reads input digits 0..m+i
+        stop = len(digits) - m
+        stored_stop = stop if stop < depth else depth
+        while i < stored_stop:
+            out.append(tables[i][cumacc[m + i + 1]])
+            i += 1
+        if self.tail_projection and i < stop:
+            # the projection tail: output digit i is input digit m + i
+            out += digits[m + i:m + stop]
+        return out
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         """Apply the map; the result has precision N - (k-l), capped by depth."""
         if x.prime != self.prime:
             raise PrimeMismatch(f"primes {x.prime} and {self.prime}")
-        k, m, l = self.klass.k, self.klass.m, self.l
-        depth = self.stored_depth
-        n_out = x.precision - m
-        if x.precision < k or n_out < 1:
+        k, m = self.klass.k, self.klass.m
+        if x.precision < k or x.precision <= m:
             raise PrecisionError(
                 f"precision {x.precision} cannot determine any output digit of a "
                 f"({self.prime}^-{k}, {self.prime}^{m}) table map"
             )
-        if not self.tail_projection:
-            n_out = min(n_out, depth)
-            if n_out < 1:
-                raise DepthExhausted("table depth exhausted before the first digit")
-        if min(l, n_out) > depth:
-            raise DepthExhausted(f"no digit function at output index {depth}")
-        p, digits, tables = self.prime, x.digits, self.tables
-        acc = _encode(digits[:k], p)
-        out = [tables[i][acc] for i in range(min(l, n_out))]
-        pw = p**k
-        for i in range(l, min(n_out, depth)):
-            acc += digits[m + i] * pw
+        if not (self.tail_projection or self.stored_depth):
+            raise DepthExhausted("table depth exhausted before the first digit")
+        p, digits = self.prime, x.digits
+        # the stored digit functions read input digits 0..m+stored_depth-1
+        cumacc, acc, pw = [0], 0, 1
+        for d in digits[:m + self.stored_depth]:
+            acc += d * pw
             pw *= p
-            out.append(tables[i][acc])
-        # the projection tail: output digit i is input digit m + i
-        start = max(l, depth)
-        if n_out > start:
-            out.extend(digits[m + start:m + n_out])
-        return ZpApprox(p, tuple(out))
+            cumacc.append(acc)
+        return ZpApprox(p, tuple(self.output_digits(digits, cumacc, 0)))
 
     eval = apply
 
@@ -275,7 +279,7 @@ def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
     if f.prime != g.prime:
         raise PrimeMismatch(f"tables over primes {f.prime} and {g.prime}")
     if f.klass != g.klass:
-        raise PadicError(f"tables of classes {f.klass} and {g.klass}")
+        raise ValueError(f"tables of classes {f.klass} and {g.klass}")
     p = f.prime
     for i in range(depth):
         a = f.arity(i)

@@ -261,24 +261,8 @@ class _DigitStream:
 def _extend_stream(table: DigitFunctionTable, prev: _DigitStream,
                    cur: _DigitStream) -> None:
     """Append every digit of f(prev) that prev's digits determine."""
-    k, l, depth = table.klass.k, table.l, table.stored_depth
-    tables, digits, cumacc = table.tables, prev.digits, prev.cumacc
-    have = len(digits)
-    if have < k:
-        return
-    i = len(cur.digits)
-    while i < l:
-        cur.append(table.digit_value(i, cumacc[k]))
-        i += 1
-    # digit i >= l reads prev digits 0..need-1, need = k-l+i+1 <= have
-    stop = have - k + l
-    stored_stop = min(stop, depth)
-    while i < stored_stop:
-        cur.append(tables[i][cumacc[k - l + i + 1]])
-        i += 1
-    if table.tail_projection:
-        for i in range(i, stop):
-            cur.append(digits[k - l + i])
+    for d in table.output_digits(prev.digits, prev.cumacc, len(cur.digits)):
+        cur.append(d)
 
 
 def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
@@ -289,11 +273,12 @@ def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
     ``levels[j]`` holds the digits of f^j(levels[0]) that levels[0]
     determines.  The next digit of levels[j-1] is the last variable of the
     next digit function of levels[j], a bijection in that variable, so the
-    digit is found by walking down from level n with one lookup per level in
-    that function's inverse (:meth:`DigitFunctionTable.inverse_value`).  The
-    levels are then extended through the forward tables, and the digit is
-    kept only if it gives ``target`` there.  Raises
-    :class:`ConstraintUnsolvable` at step ``n``.
+    digit is found by walking down from level n with one inverse lookup per
+    level (:meth:`DigitFunctionTable.inverse_value`, the position of the
+    wanted value in that function's table row).  The levels are then
+    extended through the forward tables, and the digit is kept only if it
+    gives ``target`` there.  Raises :class:`ConstraintUnsolvable` at step
+    ``n``.
     """
     # level 1 holds the largest digit index, so it runs out of table first
     if not table.has_digit(len(levels[1].digits)):
@@ -302,9 +287,13 @@ def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
         raise PadicError("internal: cascade index drift")
     inverse = table.inverse_value
     d = target
-    for j in range(n, 0, -1):
-        prev = levels[j - 1]
-        d = inverse(len(levels[j].digits), prev.cumacc[-1] + d * prev.pw[-1])
+    try:
+        for j in range(n, 0, -1):
+            d = inverse(len(levels[j].digits), levels[j - 1].cumacc[-1], d)
+    except ValueError:
+        raise ConstraintUnsolvable(
+            n, digit_index, "no admissible digit: a digit function misses "
+            "a value, so the table lacks bijectivity") from None
     levels[0].append(d)
     for j in range(1, n + 1):
         _extend_stream(table, levels[j - 1], levels[j])

@@ -276,6 +276,12 @@ def test_exit_codes(specs, capsys, tmp_path):
              "--other", str(table3)]):
         assert main(command) == 3, command
         capsys.readouterr()
+    # precondition: nearby maps of one prime but different scaling classes
+    table21 = tmp_path / "t21.json"
+    save_spec(TableMap(random_table(random.Random(1), 2, ScalingClass(2, 1), 4)), table21)
+    assert main(["conjugate", "--map", str(table2), "--constructor", "nearby",
+                 "--other", str(table21)]) == 3
+    capsys.readouterr()
     # precondition: negative precision and sample counts
     for command in (["fixed-points", "--map", str(shift_path), "--precision", "0"],
                     ["fixed-points", "--map", str(shift_path), "--precision", "-1"],

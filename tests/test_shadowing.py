@@ -203,17 +203,27 @@ def _brute_next_digits(table, levels, n, target):
     return found
 
 
+def _solve_levels(table, n, seed):
+    """levels[0] a random start with the n * m + l digits the n-th level
+    needs before its first solve, and levels 1..n its iterates."""
+    rng = random.Random(seed)
+    k, m = table.klass.k, table.klass.m
+    levels = [_DigitStream(table.prime, [rng.randrange(table.prime)
+                                         for _ in range(n * m + k - m)])]
+    for j in range(n):
+        levels.append(_DigitStream(table.prime))
+        _extend_stream(table, levels[j], levels[j + 1])
+    return levels
+
+
 def test_solve_next_digit_agrees_with_candidate_search():
     rng = random.Random(29)
     for p, klass, tail in [(2, (1, 1), True), (2, (2, 1), False), (3, (2, 1), True),
                            (3, (3, 2), True), (5, (2, 2), False), (5, (1, 1), True)]:
-        k, m = klass
-        table = random_table(rng, p, ScalingClass(k, m), k + 3, tail_projection=tail)
+        table = random_table(rng, p, ScalingClass(*klass), klass[0] + 3,
+                             tail_projection=tail)
         for n in (1, 2, 3):
-            levels = [_DigitStream(p, [rng.randrange(p) for _ in range(n * m + k - m)])]
-            for j in range(n):
-                levels.append(_DigitStream(p))
-                _extend_stream(table, levels[j], levels[j + 1])
+            levels = _solve_levels(table, n, rng.randrange(2**32))
             while table.has_digit(len(levels[1])):
                 target = rng.randrange(p)
                 want = _brute_next_digits(table, levels, n, target)
@@ -226,23 +236,39 @@ def test_solve_next_digit_agrees_with_candidate_search():
                     break
 
 
-def test_corrupt_inverse_fails_the_forward_recheck():
-    rng = random.Random(31)
-    table = random_table(rng, 2, ScalingClass(2, 1), 8)
-    x0 = rand_point(rng, 2, 2 + 6 + 1)
-    orbit = perturb_orbit(table, x0, 1, 6, seed=37)
-    good = shadow_locally_scaling(table, orbit)
-    # at p = 2, flipping every entry of a built inverse makes each solve
-    # through digit function 1 pick the wrong digit, which the solve step's
-    # forward re-check must reject
-    assert table._inverses[1] is not None
-    inverse = table._inverses[1]
-    for idx in range(len(inverse)):
-        inverse[idx] ^= 1
-    with pytest.raises(ConstraintUnsolvable):
-        shadow_locally_scaling(table, orbit)
-    fresh = random_table(random.Random(31), 2, ScalingClass(2, 1), 8)
-    assert shadow_locally_scaling(fresh, orbit).point == good.point
+def test_wrong_inverse_fails_the_forward_recheck():
+    # an inverse lookup that answers the wrong digit must be caught by the
+    # solve step's forward re-check, not passed on to the solver
+    table = random_table(random.Random(31), 2, ScalingClass(2, 1), 8)
+    n = 2
+    levels = _solve_levels(table, n, 37)
+    i = len(levels[n])
+    want = _brute_next_digits(table, levels, n, 1)
+    assert len(want) == 1
+    # flip the answer at level n only; the lookup at level 1 is left true
+    inverse = table.inverse_value
+    object.__setattr__(table, "inverse_value",
+                       lambda j, prefix, target: inverse(j, prefix, target) ^ (j == i))
+    with pytest.raises(ConstraintUnsolvable, match="fails the forward tables"):
+        _solve_next_digit(table, levels, n, i, 1)
+    assert levels[0].digits[-1] == 1 - want[0]
+
+
+def test_non_bijective_row_fails_the_solve():
+    # a digit function row that misses a value has no inverse there; the solve
+    # step reports it as a constraint it cannot meet
+    table = random_table(random.Random(41), 3, ScalingClass(2, 1), 4)
+    n = 1
+    levels = _solve_levels(table, n, 43)
+    i = len(levels[n])
+    prefix = levels[0].prefix_index(len(levels[0]))
+    row = list(table.tables[i])
+    P = len(row) // 3
+    row[prefix::P] = [0, 0, 0]
+    object.__setattr__(table, "tables",
+                       table.tables[:i] + (tuple(row),) + table.tables[i + 1:])
+    with pytest.raises(ConstraintUnsolvable, match="misses a value"):
+        _solve_next_digit(table, levels, n, i, 1)
 
 
 def test_shadow_monotone_in_delta():
