@@ -91,8 +91,8 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     strata = range(k, N - m)
 
     def check_pair(xi: int, yi: int, j: int):
-        fx = f(ZpApprox(p, _decode(xi, p, N)))
-        fy = f(ZpApprox(p, _decode(yi, p, N)))
+        fx = f(ZpApprox.from_int(xi, p, N))
+        fy = f(ZpApprox.from_int(yi, p, N))
         got = distance(fx, fy)
         if got.exact and got.exponent == j - m:
             return None
@@ -103,7 +103,7 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
         mode = "exhaustive"
         values = []
         for xi in range(p**N):
-            y = f(ZpApprox(p, _decode(xi, p, N)))
+            y = f(ZpApprox.from_int(xi, p, N))
             values.append((y.to_int(), y.precision))
         for xi in range(p**N):
             for yi in range(xi + 1, p**N):
@@ -178,7 +178,7 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
 
     if p**N <= exhaustive_limit:
         mode = "exhaustive"
-        points = [ZpApprox(p, _decode(i, p, N)) for i in range(p**N)]
+        points = [ZpApprox.from_int(i, p, N) for i in range(p**N)]
         pair_list = [(a, b) for a in range(len(points)) for b in range(a + 1, len(points))]
     else:
         mode = "sampled"
@@ -190,8 +190,8 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
             yi = rng.randrange(p**N)
             if xi == yi:
                 yi = (yi + 1 + rng.randrange(p**N - 1)) % p**N
-            points.append(ZpApprox(p, _decode(xi, p, N)))
-            points.append(ZpApprox(p, _decode(yi, p, N)))
+            points.append(ZpApprox.from_int(xi, p, N))
+            points.append(ZpApprox.from_int(yi, p, N))
             pair_list.append((len(points) - 2, len(points) - 1))
 
     # orbit levels; evaluation stops for a point once precision is exhausted

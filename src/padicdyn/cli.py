@@ -255,7 +255,7 @@ def cmd_conjugate(args) -> dict:
     elif constructor == "qp-affine":
         cm = qp_affine_conjugacy_map(spec, args.horizon)
         k = cm.details["dilation_exponent"]
-        width = len(spec.a.digits) if isinstance(spec, AffineQp) else 24
+        width = spec.a.width if isinstance(spec, AffineQp) else 24
         f_map = AffineQp(
             QpApprox(spec.prime, -k, (1,) + (0,) * (width - 1)),
             QpApprox(spec.prime, max(4 * abs(k), 16), (0,) * width))

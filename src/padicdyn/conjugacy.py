@@ -231,6 +231,11 @@ def certify_contraction_factor(psi: MapSpec, min_exponent: int, *,
     return _sampled_contraction(psi, min_exponent, samples, precision, seed)
 
 
+def _agrees(x: ZpApprox, y: ZpApprox) -> bool:
+    """Every digit of x equals the digit of y at the same place."""
+    return x.precision <= y.precision and x.value == y.value % y.prime**x.precision
+
+
 def _fixed_point_of_contraction(a: ZpApprox, psi: MapSpec, precision: int,
                                 budget: int = 64) -> ZpApprox:
     """The unique fixed point of z -> a z + psi(z) on Z_p, by iteration."""
@@ -238,7 +243,7 @@ def _fixed_point_of_contraction(a: ZpApprox, psi: MapSpec, precision: int,
     z = ZpApprox.from_int(0, p, precision)
     for _ in range(budget):
         nxt = a * z + psi.apply(z)
-        if nxt.digits == z.digits[: nxt.precision]:
+        if _agrees(nxt, z):
             return nxt
         z = nxt
     raise CertificationError("fixed-point iteration did not stabilize in budget")
@@ -298,7 +303,7 @@ def affine_shell_conjugacy_map(a: ZpApprox, psi: MapSpec, *,
     psi0 = psi.apply(ZpApprox.from_int(0, p, work))
     translation = None
     psi_eff = psi
-    if any(psi0.digits):
+    if psi0.value:
         z_g = _fixed_point_of_contraction(a, psi, work)
         translation = z_g
 
@@ -360,7 +365,7 @@ def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox, budget: int = 64) -> Z
         for _ in range(budget):
             w_q = QpApprox.from_zp(cur - psi.apply(t)) * a_inv
             nxt = mod_zp(w_q)
-            if nxt.digits == t.digits[: nxt.precision]:
+            if _agrees(nxt, t):
                 t = nxt
                 break
             t = nxt
@@ -373,7 +378,7 @@ def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox, budget: int = 64) -> Z
 def _affine_translation(g: AffineQp) -> QpApprox:
     """b / (1 - a), the fixed point of z -> az + b (needs ||a|| != 1)."""
     p = g.prime
-    one = QpApprox.from_int(1, p, max(len(g.a.digits), len(g.b.digits)))
+    one = QpApprox.from_int(1, p, max(g.a.width, g.b.width))
     return inverse_unit(one - g.a) * g.b
 
 
@@ -394,7 +399,7 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
     K = abs(k)
     p = g.prime
     if isinstance(g, AffineQp):
-        if any(g.b.digits):
+        if g.b.value:
             x = x - _affine_translation(g)
         a, a_inv = g.a, inverse_unit(g.a)
         if k > 0:
@@ -406,11 +411,12 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
         fwd, bwd = (g, g_inv) if k > 0 else (g_inv, g)
         fwd_step, bwd_step = fwd.apply, bwd.apply
 
-    blocks: dict[int, tuple] = {}
+    q = p**K
+    blocks: dict[int, int] = {}
     cur = x
     j = 0
     while j <= horizon and cur.window_end >= K:
-        blocks[j] = tuple(cur.digit_at(i) for i in range(K))
+        blocks[j] = mod_zp(cur).value % q
         cur = fwd_step(cur)
         j += 1
     if not blocks:
@@ -430,20 +436,18 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
                 "backward blocks did not vanish within the horizon budget")
         if cur.window_end < K:
             raise PrecisionError("window too short to read a backward block")
-        blocks[j] = tuple(cur.digit_at(i) for i in range(K))
+        blocks[j] = mod_zp(cur).value % q
     j_min = min(blocks)
 
-    digits = []
-    for jj in range(j_min, j_max + 1):
-        digits.extend(blocks[jj])
-    return QpApprox(p, j_min * K, tuple(digits)).normalize()
+    h = sum(block * q ** (jj - j_min) for jj, block in blocks.items())
+    return QpApprox.from_int(h, p, (j_max - j_min + 1) * K, j_min * K).normalize()
 
 
 def qp_affine_conjugacy_map(g: MapSpec, horizon: int) -> ConjugacyMap:
     """The isometry conjugating a certified ||a|| != 1 map to f_{1/p^k, 0}."""
     k = certify_expansion(g)
     translation = None
-    if isinstance(g, AffineQp) and any(g.b.digits):
+    if isinstance(g, AffineQp) and g.b.value:
         translation = _affine_translation(g)
     return ConjugacyMap(
         forward=lambda x: qp_affine_conjugacy(g, x, horizon),

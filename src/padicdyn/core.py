@@ -1,11 +1,13 @@
 """Exact finite-precision arithmetic on Z_p and Q_p.
 
-Values are digit vectors in base p.  A ``ZpApprox`` stores the coefficients
-of p^0 .. p^(N-1) and represents an element of Z_p known modulo p^N.  A
-``QpApprox`` stores a digit window [v, v+N) and represents an element of
-Q_p known up to O(p^(v+N)); digits below the window start are exactly zero.
-Every operation returns exactly the digits determined by its inputs, never
-a padded or heuristically rounded value.
+Values are integers with an explicit digit window (capped-absolute
+precision).  A ``ZpApprox`` stores x mod p^N, an element of Z_p known
+modulo p^N.  A ``QpApprox`` stores a window start v, a width N and X in
+[0, p^N): the element p^v X of Q_p known up to O(p^(v+N)), whose digits
+below v are exactly zero.  The base-p ``digits`` are derived from the
+integer on first read and cached; arithmetic never touches them.  Every
+operation returns exactly the digits determined by its inputs, never a
+padded or heuristically rounded value.
 
 Norms and distances are powers of p and are reported as a :class:`PNorm`,
 which distinguishes the exactly known value p^-e from the certified bound
@@ -19,7 +21,7 @@ All value types are immutable; operations are pure functions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class PadicError(Exception):
@@ -38,18 +40,36 @@ class ZeroAtPrecision(PadicError):
     """A value indistinguishable from zero was used where a unit is needed."""
 
 
+# Miller-Rabin to these bases is exact below _MR_LIMIT (Sorenson-Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot certify {n} as prime: it is not below {_MR_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
 class Prime(int):
-    """A prime base, validated by deterministic trial division."""
+    """A prime base below about 3.3e24, certified by deterministic Miller-Rabin."""
 
     def __new__(cls, p: int) -> "Prime":
+        if type(p) is Prime:
+            return p
         p = int(p)
-        if p < 2:
+        if not _is_prime(p):
             raise ValueError(f"not a prime: {p}")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"not a prime: {p}")
-            d += 1
         return super().__new__(cls, p)
 
 
@@ -100,12 +120,6 @@ def pnorm_max(norms) -> PNorm:
     return PNorm(eb, exact=False)
 
 
-def _check_digits(digits, p):
-    for d in digits:
-        if not 0 <= d < p:
-            raise ValueError(f"digit {d} out of range [0, {p})")
-
-
 def _int_from_digits(digits, p: int) -> int:
     value = 0
     for d in reversed(digits):
@@ -121,143 +135,191 @@ def _digits_from_int(value: int, p: int, length: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class ZpApprox:
-    """An element of Z_p known to ``len(digits)`` base-p digits.
+# bytes 0..35 to the characters int() reads as those digits, others to "!"
+_DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
 
-    ``digits[i]`` is the coefficient of p^i.  Two values are
-    equal-at-precision iff primes, lengths and all digits agree
-    (dataclass equality).  Negative integers embed via their p-adic
-    complement, e.g. -1 becomes all digits p-1.
+
+def _checked_digits(prime: int, digits, kind: str):
+    """The validated prime, digit tuple and integer of a public digit constructor."""
+    p = Prime(prime)
+    digits = tuple(digits)
+    if not digits:
+        raise PrecisionError(f"a {kind} needs at least one digit")
+    try:  # for p <= 36, int() checks and converts every digit in one call
+        return p, digits, int(bytes(reversed(digits)).translate(_DIGIT_CHARS), p)
+    except (TypeError, ValueError):
+        for d in digits:
+            if not 0 <= d < p:
+                raise ValueError(f"digit {d} out of range [0, {p})") from None
+        return p, digits, _int_from_digits(digits, p)
+
+
+def _fill(x, *values):
+    # the slot descriptors set the fields past the frozen dataclass's __setattr__
+    for set_slot, v in zip(_SLOT_SETTERS[type(x)], values):
+        set_slot(x, v)
+    return x
+
+
+def _derive_digits(x, name: str):
+    # __getattr__ of the value types: reached only while the digits slot is unfilled
+    if name != "digits":
+        raise AttributeError(f"{type(x).__name__!r} object has no attribute {name!r}")
+    n = x.precision if type(x) is ZpApprox else x.width
+    object.__setattr__(x, "digits", _digits_from_int(x.value, x.prime, n))
+    return x.digits
+
+
+def _val(x: int, p: int, cap: int) -> int:
+    """p-adic valuation of the integer x, or ``cap`` if x is 0."""
+    if not x:
+        return cap
+    if p == 2:
+        return (x & -x).bit_length() - 1
+    v = 0
+    while not x % p:
+        x //= p
+        v += 1
+    return v
+
+
+def _same_prime(x, y) -> Prime:
+    if x.prime != y.prime:
+        raise PrimeMismatch(f"primes {x.prime} and {y.prime}")
+    return x.prime
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class ZpApprox:
+    """An element of Z_p known modulo p^N, stored as the residue ``value``.
+
+    ``digits[i]``, the coefficient of p^i, is derived from ``value`` on first
+    read and cached.  Two values are equal-at-precision iff primes,
+    precisions and values (so all digits) agree.  Negative integers embed
+    via their p-adic complement, e.g. -1 becomes all digits p-1.
     """
 
     prime: Prime
-    digits: tuple
+    precision: int
+    value: int
+    digits: tuple = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.prime, Prime):
-            object.__setattr__(self, "prime", Prime(self.prime))
-        if not isinstance(self.digits, tuple):
-            object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) < 1:
-            raise PrecisionError("a ZpApprox needs at least one digit")
-        _check_digits(self.digits, self.prime)
+    def __init__(self, prime: int, digits) -> None:
+        p, digits, value = _checked_digits(prime, digits, "ZpApprox")
+        _fill(self, p, len(digits), value, digits)
+
+    @classmethod
+    def _of(cls, p: Prime, n: int, value: int) -> "ZpApprox":
+        """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1; no digits."""
+        return _fill(object.__new__(cls), p, n, value)
 
     @classmethod
     def from_int(cls, value: int, prime: int, precision: int) -> "ZpApprox":
         p = Prime(prime)
-        return cls(p, _digits_from_int(value % p**precision, p, precision))
+        if precision < 1:
+            raise PrecisionError("a ZpApprox needs at least one digit")
+        return cls._of(p, precision, value % p**precision)
 
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
+    __getattr__ = _derive_digits
 
     def to_int(self) -> int:
-        return _int_from_digits(self.digits, self.prime)
+        return self.value
 
     def truncate(self, n: int) -> "ZpApprox":
-        if not 1 <= n <= len(self.digits):
-            raise PrecisionError(f"cannot truncate precision {len(self.digits)} to {n}")
-        return ZpApprox(self.prime, self.digits[:n])
+        if not 1 <= n <= self.precision:
+            raise PrecisionError(f"cannot truncate precision {self.precision} to {n}")
+        return ZpApprox._of(self.prime, n, self.value % self.prime**n)
 
     def norm(self) -> PNorm:
-        for i, d in enumerate(self.digits):
-            if d:
-                return PNorm(i)
-        return PNorm(self.precision, exact=False)
+        return PNorm(_val(self.value, self.prime, self.precision), exact=self.value != 0)
 
-    def _combine(self, other, op):
+    def _addsub(self, other, sign):
         if not isinstance(other, ZpApprox):
             return NotImplemented
-        if self.prime != other.prime:
-            raise PrimeMismatch(f"primes {self.prime} and {other.prime}")
+        p = _same_prime(self, other)
         n = min(self.precision, other.precision)
-        p = self.prime
-        value = op(_int_from_digits(self.digits[:n], p), _int_from_digits(other.digits[:n], p))
-        return ZpApprox(p, _digits_from_int(value % p**n, p, n))
+        return ZpApprox._of(p, n, (self.value + sign * other.value) % p**n)
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
+        return self._addsub(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
+        return self._addsub(other, -1)
 
     def __mul__(self, other):
         # a factor of valuation v determines v extra digits of the product:
         # the error is x*O(p^Ny) + y*O(p^Nx), of norm <= p^-min(vx+Ny, vy+Nx)
         if not isinstance(other, ZpApprox):
             return NotImplemented
-        if self.prime != other.prime:
-            raise PrimeMismatch(f"primes {self.prime} and {other.prime}")
-        p = self.prime
-        vx = next((i for i, d in enumerate(self.digits) if d), self.precision)
-        vy = next((i for i, d in enumerate(other.digits) if d), other.precision)
+        p = _same_prime(self, other)
+        vx = _val(self.value, p, self.precision)
+        vy = _val(other.value, p, other.precision)
         n = min(vx + other.precision, vy + self.precision)
-        value = self.to_int() * other.to_int()
-        return ZpApprox(p, _digits_from_int(value % p**n, p, n))
+        return ZpApprox._of(p, n, self.value * other.value % p**n)
 
     def __neg__(self):
-        p = self.prime
-        n = self.precision
-        return ZpApprox(p, _digits_from_int(-self.to_int() % p**n, p, n))
+        return ZpApprox._of(self.prime, self.precision, -self.value % self.prime**self.precision)
 
     def __str__(self):
         return encode_value(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QpApprox:
-    """An element of Q_p known on the digit window [v, v+N).
+    """An element p^v X of Q_p known on the digit window [v, v+N).
 
-    ``digits[i]`` is the coefficient of p^(v+i).  Digits below the window
-    are exactly zero; nothing is known from p^(v+N) on.  Canonical form has
-    a nonzero leading digit (or an all-zero window, which represents a value
-    of norm <= p^-(v+N)); :meth:`normalize` shifts the window start forward
-    past leading zeros.
+    ``value`` is X in [0, p^N), with N the ``width``.  ``digits[i]``, the
+    coefficient of p^(v+i), is derived from it on first read and cached.
+    Digits below the window are exactly zero; nothing is known from p^(v+N)
+    on.  Two values are equal iff prime, window and digits agree.  Canonical
+    form has a nonzero leading digit (or an all-zero window, which
+    represents a value of norm <= p^-(v+N)); :meth:`normalize` shifts the
+    window start forward past leading zeros.
     """
 
     prime: Prime
     valuation_offset: int
-    digits: tuple
+    width: int
+    value: int
+    digits: tuple = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.prime, Prime):
-            object.__setattr__(self, "prime", Prime(self.prime))
-        if not isinstance(self.digits, tuple):
-            object.__setattr__(self, "digits", tuple(self.digits))
-        if len(self.digits) < 1:
-            raise PrecisionError("a QpApprox needs a nonempty window")
-        _check_digits(self.digits, self.prime)
+    def __init__(self, prime: int, valuation_offset: int, digits) -> None:
+        p, digits, value = _checked_digits(prime, digits, "QpApprox")
+        _fill(self, p, valuation_offset, len(digits), value, digits)
+
+    @classmethod
+    def _of(cls, p: Prime, v: int, n: int, value: int) -> "QpApprox":
+        """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1; no digits."""
+        return _fill(object.__new__(cls), p, v, n, value)
 
     @classmethod
     def from_zp(cls, x: ZpApprox) -> "QpApprox":
-        return cls(x.prime, 0, x.digits)
+        return cls._of(x.prime, 0, x.precision, x.value)
 
     @classmethod
     def from_int(cls, value: int, prime: int, precision: int, v: int = 0) -> "QpApprox":
         p = Prime(prime)
-        return cls(p, v, _digits_from_int(value % p**precision, p, precision))
+        if precision < 1:
+            raise PrecisionError("a QpApprox needs at least one digit")
+        return cls._of(p, v, precision, value % p**precision)
+
+    __getattr__ = _derive_digits
 
     @property
     def window_end(self) -> int:
-        return self.valuation_offset + len(self.digits)
-
-    @property
-    def width(self) -> int:
-        return len(self.digits)
+        return self.valuation_offset + self.width
 
     @property
     def is_canonical(self) -> bool:
-        return self.digits[0] != 0 or not any(self.digits)
+        return self.value % self.prime != 0 or self.value == 0
 
     def normalize(self) -> "QpApprox":
         """Drop leading zero digits, shifting the window start forward."""
         if self.is_canonical:
             return self
-        i = 0
-        while i < len(self.digits) and self.digits[i] == 0:
-            i += 1
-        return QpApprox(self.prime, self.valuation_offset + i, self.digits[i:])
+        p = self.prime
+        i = _val(self.value, p, 0)
+        return QpApprox._of(p, self.valuation_offset + i, self.width - i, self.value // p**i)
 
     def digit_at(self, i: int) -> int:
         """Digit of p^i; exactly zero below the window, an error above it."""
@@ -265,32 +327,29 @@ class QpApprox:
             return 0
         if i >= self.window_end:
             raise PrecisionError(f"digit p^{i} is beyond the window end {self.window_end}")
-        return self.digits[i - self.valuation_offset]
+        return self.value // self.prime ** (i - self.valuation_offset) % self.prime
 
     def shift(self, j: int) -> "QpApprox":
         """Multiply by p^j (an exact window shift)."""
-        return QpApprox(self.prime, self.valuation_offset + j, self.digits)
+        return QpApprox._of(self.prime, self.valuation_offset + j, self.width, self.value)
 
     def norm(self) -> PNorm:
-        for i, d in enumerate(self.digits):
-            if d:
-                return PNorm(self.valuation_offset + i)
-        return PNorm(self.window_end, exact=False)
+        e = self.valuation_offset + _val(self.value, self.prime, self.width)
+        return PNorm(e, exact=self.value != 0)
 
     def _addsub(self, other, sign):
         if not isinstance(other, QpApprox):
             return NotImplemented
-        if self.prime != other.prime:
-            raise PrimeMismatch(f"primes {self.prime} and {other.prime}")
-        p = self.prime
-        v = min(self.valuation_offset, other.valuation_offset)
-        end = min(self.window_end, other.window_end)
-        if end <= v:
+        p = _same_prime(self, other)
+        sv, ov = self.valuation_offset, other.valuation_offset
+        v = min(sv, ov)
+        n = min(sv + self.width, ov + other.width) - v
+        if n <= 0:
             raise PrecisionError("empty overlap of Q_p windows")
-        a = _int_from_digits([self.digit_at(i) for i in range(v, end)], p)
-        b = _int_from_digits([other.digit_at(i) for i in range(v, end)], p)
-        n = end - v
-        return QpApprox(p, v, _digits_from_int((a + sign * b) % p**n, p, n))
+        # a window starting n or more digits above v contributes only zeros
+        a = self.value * p ** min(sv - v, n)
+        b = other.value * p ** min(ov - v, n)
+        return QpApprox._of(p, v, n, (a + sign * b) % p**n)
 
     def __add__(self, other):
         return self._addsub(other, 1)
@@ -299,30 +358,26 @@ class QpApprox:
         return self._addsub(other, -1)
 
     def __neg__(self):
-        p = self.prime
-        n = len(self.digits)
-        value = -_int_from_digits(self.digits, p) % p**n
-        return QpApprox(p, self.valuation_offset, _digits_from_int(value, p, n))
+        return QpApprox._of(self.prime, self.valuation_offset, self.width,
+                            -self.value % self.prime**self.width)
 
     def __mul__(self, other):
         if not isinstance(other, QpApprox):
             return NotImplemented
-        if self.prime != other.prime:
-            raise PrimeMismatch(f"primes {self.prime} and {other.prime}")
+        p = _same_prime(self, other)
         # leading zeros carry no information; normalizing first keeps every
         # digit the factors determine
         a, b = self.normalize(), other.normalize()
-        p = a.prime
-        n = min(len(a.digits), len(b.digits))
-        value = _int_from_digits(a.digits, p) * _int_from_digits(b.digits, p)
-        return QpApprox(
-            p,
-            a.valuation_offset + b.valuation_offset,
-            _digits_from_int(value % p**n, p, n),
-        )
+        v, n = a.valuation_offset + b.valuation_offset, min(a.width, b.width)
+        return QpApprox._of(p, v, n, a.value * b.value % p**n)
 
     def __str__(self):
         return encode_value(self)
+
+
+# a slots dataclass lists its fields in __slots__ in declaration order
+_SLOT_SETTERS = {cls: tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+                 for cls in (ZpApprox, QpApprox)}
 
 
 def norm(x) -> PNorm:
@@ -332,8 +387,8 @@ def norm(x) -> PNorm:
 def distance(x, y) -> PNorm:
     """Ultrametric distance, i.e. the norm of the difference.
 
-    For digit vectors this is p^-j with j the first index where the digits
-    differ, or the bound <= p^-(window end) when every compared digit agrees.
+    This is p^-j with j the first index where the digits differ, or the
+    bound <= p^-(window end) when every compared digit agrees.
     """
     return (x - y).norm()
 
@@ -344,24 +399,14 @@ def mod_zp(x: QpApprox) -> ZpApprox:
     The result keeps every nonnegative-index digit the input determines;
     digits between index 0 and a positive window start are exactly zero.
     """
-    end = x.window_end
+    p, v, end = x.prime, x.valuation_offset, x.window_end
     if end <= 0:
         raise PrecisionError("no nonnegative digits are determined")
-    return ZpApprox(x.prime, tuple(x.digit_at(i) for i in range(end)))
-
-
-def _invmod_prime_power(u: int, p: int, n: int) -> int:
-    # Hensel lifting: double the number of correct digits per step.
-    inv = pow(u % p, -1, p)
-    q = p
-    while q < p**n:
-        q = q * q
-        inv = inv * (2 - u * inv) % q
-    return inv % p**n
+    return ZpApprox._of(p, end, x.value * p**v if v >= 0 else x.value // p**-v)
 
 
 def inverse_unit(a) -> QpApprox:
-    """Invert a nonzero value: factor out p^val(a), Hensel-invert the unit.
+    """Invert a nonzero value: factor out p^val(a), invert the unit mod p^N.
 
     Accepts a ZpApprox or QpApprox; the result is a QpApprox whose width
     equals the number of digits of ``a`` from its leading nonzero digit on.
@@ -370,12 +415,10 @@ def inverse_unit(a) -> QpApprox:
     if isinstance(a, ZpApprox):
         a = QpApprox.from_zp(a)
     a = a.normalize()
-    if a.digits[0] == 0:
+    if not a.value:
         raise ZeroAtPrecision("cannot invert a value indistinguishable from zero")
-    p = a.prime
-    n = len(a.digits)
-    inv = _invmod_prime_power(_int_from_digits(a.digits, p), p, n)
-    return QpApprox(p, -a.valuation_offset, _digits_from_int(inv, p, n))
+    p, n = a.prime, a.width
+    return QpApprox._of(p, -a.valuation_offset, n, pow(a.value, -1, p**n))
 
 
 _VALUE_RE = re.compile(r"^\s*(\d+)\^(-?\d+)\s*\*\s*\[([0-9 ]*)\]\s*$")
@@ -383,11 +426,8 @@ _VALUE_RE = re.compile(r"^\s*(\d+)\^(-?\d+)\s*\*\s*\[([0-9 ]*)\]\s*$")
 
 def encode_value(x) -> str:
     """Textual encoding ``p^v * [d0 d1 ...]``, digits little-endian from the window start."""
-    if isinstance(x, ZpApprox):
-        v, digits = 0, x.digits
-    else:
-        v, digits = x.valuation_offset, x.digits
-    return f"{x.prime}^{v} * [{' '.join(str(d) for d in digits)}]"
+    v = 0 if isinstance(x, ZpApprox) else x.valuation_offset
+    return f"{x.prime}^{v} * [{' '.join(str(d) for d in x.digits)}]"
 
 
 def parse_value(text: str, domain: str | None = None):

@@ -92,9 +92,9 @@ def binomial_value(x: ZpApprox, n: int) -> ZpApprox:
     num = x
     for t in range(1, n):
         num = num * (x - ZpApprox.from_int(t, p, N))
-    if any(num.digits[:v]):
+    if num.value % p**v:
         raise PrecisionError(f"C(x,{n}): numerator not divisible by p^{v}")
-    shifted = ZpApprox(p, num.digits[v:]) if v else num
+    shifted = ZpApprox.from_int(num.value // p**v, p, num.precision - v) if v else num
     unit = math.factorial(n) // p**v
     inv = mod_zp(inverse_unit(ZpApprox.from_int(unit, p, N - v)))
     return shifted * inv

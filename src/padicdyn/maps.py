@@ -449,7 +449,7 @@ class AffineQp(MapSpec):
     def __post_init__(self):
         if self.a.prime != self.b.prime:
             raise PadicError("a and b must share a prime")
-        if not any(self.a.digits):
+        if not self.a.value:
             raise ZeroAtPrecision("a is indistinguishable from zero")
 
     @property
@@ -492,7 +492,7 @@ class GaModZp(MapSpec):
     a: QpApprox
 
     def __post_init__(self):
-        if not any(self.a.digits):
+        if not self.a.value:
             raise ZeroAtPrecision("a is indistinguishable from zero")
 
     @property

@@ -191,9 +191,11 @@ def perturb_orbit_two_sided(spec: MapSpec, x0: QpApprox, delta_exponent: int,
     x_{n-1} = f^-1(x_n - w_{n-1}), so the stored residuals are exact on
     both sides.
     """
+    if back < 0 or forward < 0:
+        raise ValueError(f"step counts must be >= 0, got back={back}, forward={forward}")
     rng = random.Random(seed)
     inv = invert_spec(spec)
-    width = len(x0.digits)
+    width = x0.width
     fwd_points = [x0]
     for _ in range(forward):
         fx = spec.apply(fwd_points[-1])
@@ -589,7 +591,7 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     delta = orbit.certified_delta
     eps_exp = delta.exponent
     fwd_last = orbit.end_index
-    width = max(len(x.digits) for x in orbit.points)
+    width = max(x.width for x in orbit.points)
     zero = QpApprox(p, eps_exp, (0,) * width)
     ys = [zero] * (fwd_last + 1)
 

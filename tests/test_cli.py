@@ -270,6 +270,8 @@ def test_exit_codes(specs, capsys, tmp_path):
             ["oracle", "shadow", "--map", str(shift_path), "--orbit", str(orbit3)],
             ["orbit", "--map", str(shift_path), "--start", point3, "--delta-exp", "1",
              "--steps", "2", "--seed", "0", "--out", str(tmp_path / "o.txt")],
+            ["orbit", "--map", str(shift_path), "--start", "1000000000000000003^0 * [1]",
+             "--delta-exp", "2", "--steps", "2", "--seed", "1", "--out", str(tmp_path / "o.txt")],
             ["conjugate", "--map", str(table2), "--constructor", "to-shift",
              "--points", point3],
             ["conjugate", "--map", str(table2), "--constructor", "nearby",
@@ -289,6 +291,12 @@ def test_exit_codes(specs, capsys, tmp_path):
                     ["conjugate", "--map", str(table2), "--constructor", "to-shift",
                      "--samples", "-1"]):
         assert main(command) == 3, command
+        capsys.readouterr()
+    # precondition: negative step counts for a two-sided orbit
+    for back, steps in (("-2", "3"), ("2", "-3")):
+        assert main(["orbit", "--map", specs["affq"], "--two-sided", "--back", back,
+                     "--steps", steps, "--start", "3^-1 * [1 2 0 1]", "--delta-exp", "3",
+                     "--seed", "1", "--out", str(tmp_path / "o2.txt")]) == 3, (back, steps)
         capsys.readouterr()
 
 

@@ -1,7 +1,7 @@
 """Digit-exact arithmetic against integer oracles, plus the ultrametric laws."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.core import (
@@ -21,12 +21,30 @@ from padicdyn.core import (
 )
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
 def test_prime_validation():
     assert Prime(2) == 2
     assert Prime(97) == 97
     for bad in (0, 1, 4, 9, 91):
         with pytest.raises(ValueError):
             Prime(bad)
+    for n in range(-3, 10**4):
+        try:
+            accepted = Prime(n) == n
+        except ValueError:
+            accepted = False
+        assert accepted == _trial_division_is_prime(n), n
+    # Carmichael numbers fool the Fermat test, not Miller-Rabin
+    for bad in (561, 41041, 10**18 + 1):  # 10^18 + 1 = 101 * 9901 * 999999000001
+        with pytest.raises(ValueError):
+            Prime(bad)
+    assert Prime(10**18 + 3) == 10**18 + 3
+    # past the range where the fixed bases are proven, even a prime is refused
+    with pytest.raises(ValueError, match="cannot certify"):
+        Prime(2**89 - 1)
 
 
 def test_int_embedding_round_trip():
@@ -258,3 +276,160 @@ def test_encoding_round_trip():
         parse_value("garbage")
     with pytest.raises(ValueError):
         parse_value("2^-1 * [1]", "zp")
+
+
+# ------------------------------------------- integer storage vs digit reference
+#
+# The reference below works digit by digit, as the digit-tuple arithmetic did:
+# align two windows with a digit_at read per place, convert the digits to an
+# integer, compute, and split the result back into digits.
+
+def _ref_int(digits, p):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def _ref_split(value, p, n):
+    return tuple(value // p**i % p for i in range(n))
+
+
+def _ref_digit_at(v, digits, i):
+    if i < v:
+        return 0
+    if i >= v + len(digits):
+        raise PrecisionError(i)
+    return digits[i - v]
+
+
+def _ref_normalize(v, digits):
+    i = next((i for i, d in enumerate(digits) if d), None)
+    return (v, digits) if i is None else (v + i, digits[i:])
+
+
+def _ref_norm(v, digits):
+    i = next((i for i, d in enumerate(digits) if d), None)
+    return PNorm(v + len(digits), exact=False) if i is None else PNorm(v + i)
+
+
+def _ref_addsub(p, x, y, sign):
+    (vx, dx), (vy, dy) = x, y
+    v, end = min(vx, vy), min(vx + len(dx), vy + len(dy))
+    if end <= v:
+        return None
+    a = _ref_int([_ref_digit_at(vx, dx, i) for i in range(v, end)], p)
+    b = _ref_int([_ref_digit_at(vy, dy, i) for i in range(v, end)], p)
+    return v, _ref_split((a + sign * b) % p ** (end - v), p, end - v)
+
+
+def _ref_mul(p, x, y):
+    (vx, dx), (vy, dy) = _ref_normalize(*x), _ref_normalize(*y)
+    n = min(len(dx), len(dy))
+    return vx + vy, _ref_split(_ref_int(dx, p) * _ref_int(dy, p) % p**n, p, n)
+
+
+def _ref_inverse(p, x):
+    v, digits = _ref_normalize(*x)
+    if not any(digits):
+        return None
+    u, inv = _ref_int(digits, p), 0
+    for k in range(len(digits)):  # solve for one more digit of u * inv = 1
+        inv += next(d for d in range(p)
+                    if u * (inv + d * p**k) % p ** (k + 1) == 1) * p**k
+    return -v, _ref_split(inv, p, len(digits))
+
+
+def _check_stored(r, p):
+    n = r.width if isinstance(r, QpApprox) else r.precision
+    assert 0 <= r.value < p**n
+    assert len(r.digits) == n and r.value == _ref_int(r.digits, p)
+
+
+def _check_qp(r, p, want):
+    _check_stored(r, p)
+    assert (r.valuation_offset, r.digits) == want
+    rebuilt = QpApprox(p, *want)
+    assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+@st.composite
+def _windows(draw, p):
+    width = draw(st.integers(1, 30))
+    return (draw(st.integers(-6, 6)),
+            tuple(draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))))
+
+
+@st.composite
+def _qp_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    return p, draw(_windows(p)), draw(_windows(p))
+
+
+@settings(max_examples=400)
+@given(_qp_pairs())
+@example((3, (-6, (1, 2)), (6, (2, 1, 1))))          # disjoint windows
+@example((5, (6, (4,)), (-6, (0, 1, 0, 2))))         # disjoint, high window first
+@example((2, (-6, (1,) * 30), (0, (0, 1, 1))))       # nested windows
+@example((3, (-2, (0, 0, 0, 0)), (1, (0, 2, 0))))    # all-zero, non-canonical
+def test_qp_ops_match_digit_reference(case):
+    p, x, y = case
+    a, b = QpApprox(p, *x), QpApprox(p, *y)
+    for op, sign in ((QpApprox.__add__, 1), (QpApprox.__sub__, -1)):
+        want = _ref_addsub(p, x, y, sign)
+        if want is None:
+            with pytest.raises(PrecisionError):
+                op(a, b)
+            continue
+        _check_qp(op(a, b), p, want)
+        if sign < 0:
+            assert distance(a, b) == _ref_norm(*want)
+    _check_qp(a * b, p, _ref_mul(p, x, y))
+    _check_qp(-a, p, (x[0], _ref_split(-_ref_int(x[1], p) % p ** len(x[1]), p, len(x[1]))))
+    _check_qp(a.normalize(), p, _ref_normalize(*x))
+    assert a.norm() == _ref_norm(*x)
+    assert [a.digit_at(i) for i in range(-7, a.window_end)] == [
+        _ref_digit_at(*x, i) for i in range(-7, a.window_end)]
+    end = x[0] + len(x[1])
+    if end <= 0:
+        with pytest.raises(PrecisionError):
+            mod_zp(a)
+    else:
+        z = mod_zp(a)
+        _check_stored(z, p)
+        assert z.digits == tuple(_ref_digit_at(*x, i) for i in range(end))
+    want = _ref_inverse(p, x)
+    if want is None:
+        with pytest.raises(ZeroAtPrecision):
+            inverse_unit(a)
+    else:
+        _check_qp(inverse_unit(a), p, want)
+
+
+@settings(max_examples=300)
+@given(_qp_pairs())
+def test_zp_ops_match_digit_reference(case):
+    p, (_, dx), (_, dy) = case
+    x, y = ZpApprox(p, dx), ZpApprox(p, dy)
+    n = min(len(dx), len(dy))
+    vx, vy = (next((i for i, d in enumerate(ds) if d), len(ds)) for ds in (dx, dy))
+    m = min(vx + len(dy), vy + len(dx))
+    a, b = _ref_int(dx, p), _ref_int(dy, p)
+    for got, want in ((x + y, _ref_split((a + b) % p**n, p, n)),
+                      (x - y, _ref_split((a - b) % p**n, p, n)),
+                      (x * y, _ref_split(a * b % p**m, p, m)),
+                      (-x, _ref_split(-a % p ** len(dx), p, len(dx)))):
+        _check_stored(got, p)
+        assert got.digits == want
+        rebuilt = ZpApprox(p, want)
+        assert rebuilt == got and hash(rebuilt) == hash(got)
+    assert x.norm() == _ref_norm(0, dx)
+    assert distance(x, y) == _ref_norm(0, (x - y).digits)
+    from_int = ZpApprox.from_int(a, p, len(dx))
+    assert from_int == x and hash(from_int) == hash(x) and from_int.digits == dx
+
+
+def test_values_are_immutable():
+    product = QpApprox(2, 0, (1,)) * QpApprox(2, 1, (1, 1))
+    for x in (ZpApprox.from_int(5, 3, 4), QpApprox(3, -1, (1, 2)), product):
+        assert x.digits  # reading, and so caching, the digits leaves x frozen
+        for name in ("prime", "value", "digits", "precision", "width", "extra"):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(x, name, 1)
