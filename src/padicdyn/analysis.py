@@ -32,10 +32,11 @@ from .maps import (
     ScalingClass,
     ShiftPower,
     Tj,
+    _check_budget,
     _decode,
     table_from_spec,
 )
-from .shadowing import _DigitStream, _extend_stream, _solve_next_digit
+from .shadowing import _solve_next_digit
 
 
 @dataclass(frozen=True)
@@ -314,25 +315,24 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
     p = table.prime
     m, l = table.klass.m, table.klass.l
     K = n * m + l
+    _check_budget(p**K, f"the seeds of period {n}")
     seeds = []
     points = []
+    head = p**l
     for idx in range(p**K):
-        seed = _decode(idx, p, K)
-        levels = [_DigitStream(p, seed)]
+        levels = [(idx, K)]
         for j in range(n):
-            levels.append(_DigitStream(p))
-            _extend_stream(table, levels[j], levels[j + 1])
-        if len(levels[n]) < l:
+            levels.append(table.output_value(*levels[j], 0, 0))
+        if levels[n][1] < l:
             raise DepthExhausted(
                 f"the table cannot give the {l} head digits of iterate {n}")
-        if levels[n].digits != levels[0].digits[:l]:
+        if levels[n][0] != idx % head:
             continue
-        seeds.append(seed)
-        z = levels[0]
-        while len(z) < precision and table.has_digit(len(levels[1])):
-            i = len(levels[n])
-            _solve_next_digit(table, levels, n, i, z.digits[i])
-        points.append(ZpApprox(p, tuple(z.digits)))
+        seeds.append(_decode(idx, p, K))
+        while levels[0][1] < precision and table.has_digit(levels[1][1]):
+            i = levels[n][1]
+            _solve_next_digit(table, levels, n, i, levels[0][0] // p**i % p)
+        points.append(ZpApprox._of(p, levels[0][1], levels[0][0]))
     return FixedPointReport(
         map_id=map_id if n == 1 else f"{map_id}^({n})",
         iterate_n=n,

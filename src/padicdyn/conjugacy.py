@@ -53,8 +53,6 @@ from .maps import (
 from .shadowing import (
     CertificationError,
     PseudoOrbit,
-    _DigitStream,
-    _extend_stream,
     _sampled_contraction,
     _solve_next_digit,
     certify_expansion,
@@ -95,15 +93,17 @@ def conjugate_to_shift(table: DigitFunctionTable, x: ZpApprox) -> ZpApprox:
     """
     if table.klass.m != table.klass.k:
         raise PadicError(f"shift conjugation needs class (k,k), got {table.klass}")
-    k = table.klass.k
-    out = []
-    z = x
+    k, p, N = table.klass.k, x.prime, x.precision
+    h, n, z = 0, 0, x
     while True:
-        out.extend(z.digits[: min(k, x.precision - len(out))])
-        if len(out) >= x.precision:
+        # a short iterate gives a short block, and the next apply refuses it
+        t = min(k, N - n, z.precision)
+        h += z.value % p**t * p**n
+        n += t
+        if n >= N:
             break
         z = table.apply(z)
-    return ZpApprox(x.prime, tuple(out))
+    return ZpApprox._of(p, N, h)
 
 
 def invert_shift_conjugacy(table: DigitFunctionTable, y: ZpApprox) -> ZpApprox:
@@ -118,16 +118,15 @@ def invert_shift_conjugacy(table: DigitFunctionTable, y: ZpApprox) -> ZpApprox:
     k = table.klass.k
     p = table.prime
     N = y.precision
-    xs = _DigitStream(p, y.digits[: min(k, N)])
-    levels = [xs]
-    while len(xs) < N:
-        u = len(xs)
+    t = min(k, N)
+    levels = [(y.value % p**t, t)]
+    while levels[0][1] < N:
+        u = levels[0][1]
         n, r = divmod(u, k)
         if len(levels) <= n:
-            levels.append(_DigitStream(p))
-            _extend_stream(table, levels[n - 1], levels[n])
-        _solve_next_digit(table, levels, n, r, y.digits[u])
-    return ZpApprox(p, tuple(xs.digits))
+            levels.append(table.output_value(*levels[n - 1], 0, 0))
+        _solve_next_digit(table, levels, n, r, y.value // p**u % p)
+    return ZpApprox._of(p, N, levels[0][0])
 
 
 def shift_conjugacy(table: DigitFunctionTable) -> ConjugacyMap:

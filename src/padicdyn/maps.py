@@ -36,7 +36,6 @@ from .core import (
     ZeroAtPrecision,
     ZpApprox,
     _digits_from_int as _decode,
-    _int_from_digits as _encode,
     encode_value,
     inverse_unit,
     mod_zp,
@@ -74,6 +73,17 @@ class DepthExhausted(PadicError):
     """A table has no digit function at the requested output index."""
 
 
+# the most table entries, seeds or inputs one table build or point count
+# enumerates; work that grows as p^arity is refused above it, not started
+ENTRY_BUDGET = 2**20
+
+
+def _check_budget(entries: int, what: str) -> None:
+    if entries > ENTRY_BUDGET:
+        raise PrecisionError(
+            f"{what} would enumerate {entries} entries, over the budget of {ENTRY_BUDGET}")
+
+
 @dataclass(frozen=True, slots=True)
 class ScalingClass:
     """The pair (k, m) of a (p^-k, p^m) locally scaling map, with l = k - m."""
@@ -103,8 +113,10 @@ class DigitFunctionTable:
 
     With ``tail_projection`` set, output digits at i >= len(tables) use the
     projection onto the last variable, so the map is defined at every depth.
-    ``eval`` is another name for ``apply``.  :meth:`output_digits` is the
-    forward evaluation that ``apply`` and the solvers' digit streams share.
+    An input known to N digits is the integer x mod p^N, and the mixed-radix
+    index of its first t digits is x mod p^t, so :meth:`output_value` reads
+    each row straight from that integer; it is the forward evaluation that
+    ``apply`` and the solvers' digit streams share.
 
     Because every digit function at i >= l is a bijection in its last
     variable, it has an inverse in that variable: :meth:`inverse_value`
@@ -170,33 +182,39 @@ class DigitFunctionTable:
             return target
         raise DepthExhausted(f"no digit function at output index {i}")
 
-    def output_digits(self, digits, cumacc, start: int) -> list:
-        """Output digits start, start + 1, ... at an input whose known digits
-        are ``digits``, where ``cumacc[t]`` encodes ``digits[:t]``: every
-        output digit those digits determine, up to the table's depth.
-        Raises :class:`DepthExhausted` when a head function (i < l) is not
-        stored."""
+    def output_value(self, x: int, n: int, y: int, start: int) -> tuple:
+        """Extend the output ``y``, known to ``start`` digits, at an input
+        known to ``n`` digits as ``x`` = input mod p^n: returns (y, length)
+        with every output digit those n digits determine, up to the table's
+        depth.  Digit function i >= l reads row x mod p^(m+i+1), a head
+        function row x mod p^k.  Raises :class:`DepthExhausted` when a head
+        function (i < l) is not stored."""
         k, m, l, depth = self.klass.k, self.klass.m, self.l, self.stored_depth
-        if len(digits) < k:
-            return []
-        tables, out, i = self.tables, [], start
+        if n < k:
+            return y, start
+        p, tables, i = self.prime, self.tables, start
+        pw = p**i
         if i < l:
             if depth < l:
                 raise DepthExhausted(f"no digit function at output index {max(i, depth)}")
-            acc = cumacc[k]
+            row = x % p**k
             while i < l:
-                out.append(tables[i][acc])
+                y += tables[i][row] * pw
+                pw *= p
                 i += 1
         # output digit i >= l reads input digits 0..m+i
-        stop = len(digits) - m
+        stop = n - m
         stored_stop = stop if stop < depth else depth
+        mod = pw * p ** (m + 1)
         while i < stored_stop:
-            out.append(tables[i][cumacc[m + i + 1]])
+            y += tables[i][x % mod] * pw
+            pw *= p
+            mod *= p
             i += 1
         if self.tail_projection and i < stop:
-            # the projection tail: output digit i is input digit m + i
-            out += digits[m + i:m + stop]
-        return out
+            # the projection tail: output digits i..stop-1 are input digits m+i..n-1
+            return y + x // p ** (m + i) * pw, stop
+        return y, i
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         """Apply the map; the result has precision N - (k-l), capped by depth."""
@@ -210,16 +228,8 @@ class DigitFunctionTable:
             )
         if not (self.tail_projection or self.stored_depth):
             raise DepthExhausted("table depth exhausted before the first digit")
-        p, digits = self.prime, x.digits
-        # the stored digit functions read input digits 0..m+stored_depth-1
-        cumacc, acc, pw = [0], 0, 1
-        for d in digits[:m + self.stored_depth]:
-            acc += d * pw
-            pw *= p
-            cumacc.append(acc)
-        return ZpApprox(p, tuple(self.output_digits(digits, cumacc, 0)))
-
-    eval = apply
+        y, n = self.output_value(x.value, x.precision, 0, 0)
+        return ZpApprox._of(self.prime, n, y)
 
 
 def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,
@@ -671,12 +681,14 @@ def table_from_spec(spec: MapSpec, depth: int | None = None) -> DigitFunctionTab
         if spec.j == 0:
             return DigitFunctionTable(p, ScalingClass(spec.m, spec.m), (), tail_projection=True)
         k = spec.m + spec.j
+        _check_budget(spec.j * p**k, "the T_j head tables")
         heads = []
         for i in range(spec.j):
             heads.append(tuple(_decode(idx, p, k)[i] for idx in range(p**k)))
         return DigitFunctionTable(p, ScalingClass(k, spec.m), tuple(heads), tail_projection=True)
     if isinstance(spec, Rmap):
         k = spec.m + 1
+        _check_budget(p**k, "the R head table")
         head = []
         for idx in range(p**k):
             digs = _decode(idx, p, k)
@@ -715,9 +727,12 @@ def extract_table(spec: MapSpec, klass: ScalingClass, depth: int, *,
     """
     p = spec.prime
     k, l = klass.k, klass.l
+    L = max(k, k - l + depth)
+    arities = [k if i < l else k - l + i + 1 for i in range(depth)]
+    _check_budget(sum(p**a for a in arities) + (p**L if verify else 0),
+                  "table extraction")
     tables = []
-    for i in range(depth):
-        a = k if i < l else k - l + i + 1
+    for i, a in enumerate(arities):
         entries = []
         for idx in range(p**a):
             y = _eval_prefix(spec, _decode(idx, p, a), i + 1)
@@ -725,7 +740,6 @@ def extract_table(spec: MapSpec, klass: ScalingClass, depth: int, *,
         tables.append(tuple(entries))
     table = DigitFunctionTable(p, klass, tuple(tables))
     if verify:
-        L = max(k, k - l + depth)
         pad_width = max(spec.min_input_precision(depth) - L, 1)
         for idx in range(p**L):
             digs = _decode(idx, p, L)
@@ -790,13 +804,13 @@ def iterate_table(base: DigitFunctionTable, n: int, depth: int) -> IterateTable:
             base_arity = k if i < l else k - l + i + 1
             entries = []
             for idx in range(p**a):
-                z = cur.apply(ZpApprox(p, _decode(idx, p, a)))
+                z = cur.apply(ZpApprox._of(p, a, idx))
                 if z.precision < base_arity:
                     raise DepthExhausted(
                         f"iterate level {step} needs {base_arity} digits of the previous "
                         f"level, got {z.precision}"
                     )
-                entries.append(base.digit_value(i, _encode(z.digits[:base_arity], p)))
+                entries.append(base.digit_value(i, z.value % p**base_arity))
             tables.append(tuple(entries))
         cur = DigitFunctionTable(p, ScalingClass(K, step * m), tuple(tables),
                                  tail_projection=proj)

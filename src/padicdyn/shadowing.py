@@ -15,10 +15,11 @@ Solvers:
   so each digit is read from that bijection's inverse, one lookup per
   iterate level from f^n down to y, and re-checked through the forward
   tables.  The solver never materializes the iterate tower; it maintains
-  f^j(y) lazily as digit streams, asserting the proof's progress index (y
-  determined through nk-(n-1)l+s-1 after step n) at every step.  The
-  one-digit step, ``_solve_next_digit``, also inverts the isometry onto S^k
-  in :mod:`padicdyn.conjugacy` and extends fixed and periodic points in
+  f^j(y) lazily as digit streams, each a pair (value, length) holding
+  f^j(y) mod p^length, asserting the proof's progress index (y determined
+  through nk-(n-1)l+s-1 after step n) at every step.  The one-digit step,
+  ``_solve_next_digit``, also inverts the isometry onto S^k in
+  :mod:`padicdyn.conjugacy` and extends fixed and periodic points in
   :mod:`padicdyn.analysis`.
 
 * ``shadow_lipschitz`` -- a 1-Lipschitz map is shadowed by x_0 itself;
@@ -53,6 +54,7 @@ from .core import (
     Prime,
     QpApprox,
     ZpApprox,
+    _val,
     distance,
     encode_value,
     inverse_unit,
@@ -234,73 +236,44 @@ class ShadowResult:
         return self.start_index + len(self.step_distances) - 1
 
 
-class _DigitStream:
-    """Append-only digit vector with O(1) mixed-radix prefix indices."""
-
-    __slots__ = ("p", "digits", "cumacc", "pw")
-
-    def __init__(self, p: int, digits=()):
-        self.p = p
-        self.digits = []
-        self.cumacc = [0]
-        self.pw = [1]
-        for d in digits:
-            self.append(d)
-
-    def append(self, d: int) -> None:
-        pw = self.pw[-1]
-        self.digits.append(d)
-        self.cumacc.append(self.cumacc[-1] + d * pw)
-        self.pw.append(pw * self.p)
-
-    def prefix_index(self, t: int) -> int:
-        return self.cumacc[t]
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-
-def _extend_stream(table: DigitFunctionTable, prev: _DigitStream,
-                   cur: _DigitStream) -> None:
-    """Append every digit of f(prev) that prev's digits determine."""
-    for d in table.output_digits(prev.digits, prev.cumacc, len(cur.digits)):
-        cur.append(d)
-
-
 def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
                       digit_index: int, target: int) -> None:
     """Append to ``levels[0]`` the one digit that makes digit ``digit_index``
     of f^n equal ``target``, then extend levels 1..n.
 
-    ``levels[j]`` holds the digits of f^j(levels[0]) that levels[0]
-    determines.  The next digit of levels[j-1] is the last variable of the
-    next digit function of levels[j], a bijection in that variable, so the
-    digit is found by walking down from level n with one inverse lookup per
-    level (:meth:`DigitFunctionTable.inverse_value`, the position of the
-    wanted value in that function's table row).  The levels are then
-    extended through the forward tables, and the digit is kept only if it
-    gives ``target`` there.  Raises :class:`ConstraintUnsolvable` at step
+    ``levels[j]`` is a digit stream (value, length): f^j(levels[0]) modulo
+    p^length, with every digit that levels[0] determines.  The next digit of
+    levels[j-1] is the last variable of the next digit function of
+    levels[j], a bijection in that variable, whose other arguments are all
+    of levels[j-1]; so the digit is found by walking down from level n with
+    one inverse lookup per level (:meth:`DigitFunctionTable.inverse_value`,
+    the position of the wanted value in that function's table row).  The
+    levels are then extended through the forward kernel
+    (:meth:`DigitFunctionTable.output_value`), and the digit is kept only if
+    it gives ``target`` there.  Raises :class:`ConstraintUnsolvable` at step
     ``n``.
     """
     # level 1 holds the largest digit index, so it runs out of table first
-    if not table.has_digit(len(levels[1].digits)):
-        raise ConstraintUnsolvable(n, len(levels[1].digits), "table depth exhausted")
-    if len(levels[n].digits) != digit_index:
+    if not table.has_digit(levels[1][1]):
+        raise ConstraintUnsolvable(n, levels[1][1], "table depth exhausted")
+    if levels[n][1] != digit_index:
         raise PadicError("internal: cascade index drift")
     inverse = table.inverse_value
     d = target
     try:
         for j in range(n, 0, -1):
-            d = inverse(len(levels[j].digits), levels[j - 1].cumacc[-1], d)
+            d = inverse(levels[j][1], levels[j - 1][0], d)
     except ValueError:
         raise ConstraintUnsolvable(
             n, digit_index, "no admissible digit: a digit function misses "
             "a value, so the table lacks bijectivity") from None
-    levels[0].append(d)
+    p = table.prime
+    x, t = levels[0]
+    levels[0] = (x + d * p**t, t + 1)
     for j in range(1, n + 1):
-        _extend_stream(table, levels[j - 1], levels[j])
-    top = levels[n].digits
-    if len(top) <= digit_index or top[digit_index] != target:
+        levels[j] = table.output_value(*levels[j - 1], *levels[j])
+    top, length = levels[n]
+    if length <= digit_index or top // p**digit_index % p != target:
         raise ConstraintUnsolvable(
             n, digit_index, "no admissible digit: the solved digit fails the "
             "forward tables, so the table lacks bijectivity")
@@ -331,31 +304,30 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
             raise PrecisionError(f"orbit points need at least {k + s} digits")
 
     T = len(orbit.points) - 1
-    levels = [_DigitStream(p, orbit.points[0].digits[: k + s])]
+    head = p ** (l + s)
+    levels = [(orbit.points[0].value % p ** (k + s), k + s)]
     for n in range(1, T + 1):
-        levels.append(_DigitStream(p))
-        _extend_stream(table, levels[n - 1], levels[n])
-        zn = levels[n]
-        x_n = orbit.points[n]
-        if len(zn) != l + s:
+        levels.append(table.output_value(*levels[n - 1], 0, 0))
+        zn, length = levels[n]
+        x_n = orbit.points[n].value
+        if length != l + s:
             raise PadicError(
-                f"internal: level {n} has {len(zn)} digits, expected {l + s}"
+                f"internal: level {n} has {length} digits, expected {l + s}"
             )
-        for i in range(l + s):
-            if zn.digits[i] != x_n.digits[i]:
-                raise ConstraintUnsolvable(
-                    n, i, "automatic digits disagree: the orbit's certified "
-                    "delta is violated")
+        if zn != x_n % head:
+            raise ConstraintUnsolvable(
+                n, _val(zn - x_n, p, 0), "automatic digits disagree: the orbit's "
+                "certified delta is violated")
         for i in range(l + s, k + s):
-            _solve_next_digit(table, levels, n, i, x_n.digits[i])
+            _solve_next_digit(table, levels, n, i, x_n // p**i % p)
         # the proof's progress invariant: y determined through (n+1)k - nl + s - 1
-        if len(levels[0]) != (n + 1) * k - n * l + s:
+        if levels[0][1] != (n + 1) * k - n * l + s:
             raise PadicError(
                 f"internal: progress invariant broken at step {n}: "
-                f"{len(levels[0])} digits, expected {(n + 1) * k - n * l + s}"
+                f"{levels[0][1]} digits, expected {(n + 1) * k - n * l + s}"
             )
 
-    y = ZpApprox(p, tuple(levels[0].digits))
+    y = ZpApprox._of(p, levels[0][1], levels[0][0])
     dists = []
     cur = y
     for n in range(T + 1):

@@ -101,7 +101,7 @@ def test_criterion_2_shadowing_at_desk_scale():
                             failures += 1
                             break
                         if n < T:
-                            cur = table.eval(cur)
+                            cur = table.apply(cur)
     ok = failures == 0
     _report(2, "shadowing property at desk scale", ok,
             f"{runs} solver runs, {failures} failures")
@@ -159,7 +159,7 @@ def test_criterion_4_conjugation_to_shift_power():
             for _ in range(25):
                 x = ZpApprox(2, tuple(rng.randrange(2) for _ in range(12)))
                 lhs = shift.apply(conjugate_to_shift(table, x))
-                rhs = conjugate_to_shift(table, table.eval(x))
+                rhs = conjugate_to_shift(table, table.apply(x))
                 if distance(lhs, rhs).exact:
                     failures.append(f"k={k} table {t_idx}: semiconjugacy residual")
                     break
@@ -188,7 +188,7 @@ def test_criterion_5_nearby_map_conjugacy():
                 x = ZpApprox(2, tuple(rng.randrange(2) for _ in range(k + 5 * k + 6)))
                 hx = cm(x)
                 lhs = shift.apply(hx)
-                rhs = cm(g_t.eval(x))
+                rhs = cm(g_t.apply(x))
                 if distance(lhs, rhs).exact:
                     failures.append(f"k={k} table {t_idx}: semiconjugacy residual")
                     break

@@ -146,7 +146,7 @@ def test_fixed_points_random_table_vs_brute_force():
         report = fixed_points(table, precision=8)
         assert report.count == brute_fixed_point_count(table, p, k + 4)
         for pt in report.points:
-            y = table.eval(pt)
+            y = table.apply(pt)
             assert y.digits == pt.digits[: y.precision]
 
 

@@ -292,6 +292,16 @@ def test_exit_codes(specs, capsys, tmp_path):
                      "--samples", "-1"]):
         assert main(command) == 3, command
         capsys.readouterr()
+    # precondition: a table or seed enumeration over the entry budget, refused
+    # before it starts (a prime near 10^18 makes p^arity astronomical)
+    huge_shift, huge_tj = tmp_path / "huge_shift.json", tmp_path / "huge_tj.json"
+    huge_shift.write_text('{"type":"shift_power","p":1000000000000000003,"m":1}')
+    huge_tj.write_text('{"type":"tj","p":1000000000000000003,"m":1,"j":1}')
+    for command in (["fixed-points", "--map", str(huge_shift)],
+                    ["validate", "--map", str(huge_shift)],
+                    ["fixed-points", "--map", str(huge_tj)]):
+        assert main(command) == 3, command
+        assert "over the budget" in capsys.readouterr().err
     # precondition: negative step counts for a two-sided orbit
     for back, steps in (("-2", "3"), ("2", "-3")):
         assert main(["orbit", "--map", specs["affq"], "--two-sided", "--back", back,

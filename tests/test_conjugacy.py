@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from padicdyn.core import PNorm, Prime, QpApprox, ZpApprox, distance
+from padicdyn.core import PNorm, PrecisionError, Prime, QpApprox, ZpApprox, distance
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
@@ -33,6 +33,7 @@ from padicdyn.conjugacy import (
     shift_conjugacy,
     verify_conjugacy,
 )
+from padicdyn.shadowing import ConstraintUnsolvable
 
 
 def rand_point(rng, p, n):
@@ -83,7 +84,7 @@ def test_shift_conjugacy_semiconjugacy():
     for _ in range(300):
         x = rand_point(rng, 2, 12)
         lhs = shift.apply(conjugate_to_shift(table, x))
-        rhs = conjugate_to_shift(table, table.eval(x))
+        rhs = conjugate_to_shift(table, table.apply(x))
         assert not distance(lhs, rhs).exact
 
 
@@ -108,6 +109,19 @@ def test_shift_conjugacy_rejects_wrong_class():
         conjugate_to_shift(table, rand_point(rng, 2, 8))
 
 
+def test_shift_conjugacy_refuses_short_iterates():
+    # a depth-1 table without a projection tail leaves f(x) one digit long:
+    # block 1 of h(x) is short, and f of it determines nothing, so h(x) is
+    # refused rather than assembled from misplaced blocks like (1, 0, 0, 0)
+    table = random_table(random.Random(3), 2, ScalingClass(2, 2), 1,
+                         tail_projection=False)
+    x = ZpApprox(2, (1, 0, 1, 1))
+    with pytest.raises(PrecisionError):
+        conjugate_to_shift(table, x)
+    with pytest.raises(ConstraintUnsolvable, match="table depth exhausted"):
+        invert_shift_conjugacy(table, x)
+
+
 # ----------------------------------------------------------------- nearby
 
 
@@ -130,7 +144,7 @@ def test_nearby_conjugates_perturbed_shift():
             x = rand_point(rng, 2, k + 5 * k + 6)
             hx = cm(x)
             lhs = shift.apply(hx)
-            rhs = cm(g_t.eval(x))
+            rhs = cm(g_t.apply(x))
             assert not distance(lhs, rhs).exact
 
 

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdyn.analysis import expansivity_check, fixed_points, verify_scaling
-from padicdyn.core import PNorm, PrecisionError, Prime, QpApprox, ZpApprox, distance
+from padicdyn.core import (
+    PadicError,
+    PNorm,
+    PrecisionError,
+    Prime,
+    QpApprox,
+    ZpApprox,
+    distance,
+)
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
@@ -106,6 +114,45 @@ def test_inverse_value_inverts_every_tail_function(p, km, tail, seed):
                 assert table.digit_value(i, prefix + c * P) == t
 
 
+def _apply_digitwise(table, x):
+    """Reference evaluation: each output digit is one ``digit_value`` call on
+    its encoded argument tuple, from digit 0 while the input's digits cover
+    the arity and the table has the function; a missing head raises."""
+    p, digits = table.prime, x.digits
+    out, i = [], 0
+    while i < table.l or (table.arity(i) <= len(digits) and table.has_digit(i)):
+        idx = sum(d * p**t for t, d in enumerate(digits[:table.arity(i)]))
+        out.append(table.digit_value(i, idx))
+        i += 1
+    return ZpApprox(p, tuple(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]),
+       st.booleans(), st.integers(1, 4), st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_apply_matches_digitwise_evaluation(p, km, tail, depth, extra, seed):
+    # the integer kernel behind apply gives the digits, and exactly the
+    # precision, of evaluating every digit function on its own, and refuses
+    # the same inputs: a stored depth below l, or no more than m digits
+    rng = random.Random(seed)
+    klass = ScalingClass(*km)
+    table = random_table(rng, p, klass, depth, tail_projection=tail)
+    x = rand_point(rng, p, klass.k + extra)
+
+    def outcome(f):
+        try:
+            y = f(x)
+        except PadicError as exc:
+            return type(exc)
+        return y.value, y.precision
+
+    got = outcome(table.apply)
+    assert got == outcome(lambda x: _apply_digitwise(table, x))
+    if depth < klass.l:
+        assert got is DepthExhausted
+
+
 def test_table_size_check():
     with pytest.raises(ValueError):
         DigitFunctionTable(Prime(2), ScalingClass(1, 1), ((0, 1),))
@@ -118,8 +165,8 @@ def test_structural_tables_match_specs():
         table = table_from_spec(spec)
         for _ in range(200):
             x = rand_point(rng, spec.prime, 10)
-            assert table.eval(x).digits == spec.apply(x).digits[: table.eval(x).precision]
-            assert table.eval(x).precision == x.precision - table.klass.m
+            assert table.apply(x).digits == spec.apply(x).digits[: table.apply(x).precision]
+            assert table.apply(x).precision == x.precision - table.klass.m
 
 
 def test_table_eval_scaling_property_exhaustive():
@@ -129,7 +176,7 @@ def test_table_eval_scaling_property_exhaustive():
         table = random_table(rng, p, ScalingClass(k, m), 6)
         n = 6
         pts = [ZpApprox(p, _decode(i, p, n)) for i in range(p**n)]
-        outs = [table.eval(x) for x in pts]
+        outs = [table.apply(x) for x in pts]
         for i in range(p**n):
             for j in range(i + 1, p**n):
                 d = distance(pts[i], pts[j])
@@ -145,13 +192,13 @@ def test_digit_triangularity_masking():
     k, l = 2, 1
     for _ in range(500):
         x = rand_point(rng, 2, 10)
-        y = table.eval(x)
+        y = table.apply(x)
         for i in range(y.precision):
             arity = k if i < l else k - l + i + 1
             digits = list(x.digits)
             for t in range(arity, len(digits)):
                 digits[t] = rng.randrange(2)
-            y2 = table.eval(ZpApprox(2, tuple(digits)))
+            y2 = table.apply(ZpApprox(2, tuple(digits)))
             assert y2.digits[i] == y.digits[i]
 
 
@@ -179,7 +226,7 @@ def test_extract_table_agrees_with_eval():
     table = extract_table(spec, ScalingClass(2, 1), 5)
     for idx in range(2**10):
         x = ZpApprox(2, _decode(idx, 2, 10))
-        assert table.eval(x).digits == base.eval(x).digits[: table.eval(x).precision]
+        assert table.apply(x).digits == base.apply(x).digits[: table.apply(x).precision]
 
 
 def test_extract_table_rejects_wrong_class():
@@ -192,9 +239,9 @@ def test_iterate_matches_repeated_eval():
     rng = random.Random(11)
     table = random_table(rng, 2, ScalingClass(2, 1), 8)
     x = rand_point(rng, 2, 12)
-    assert iterate(table, 1, x).digits == table.eval(x).digits
+    assert iterate(table, 1, x).digits == table.apply(x).digits
     y3 = iterate(table, 3, x)
-    assert y3.digits == table.eval(table.eval(table.eval(x))).digits
+    assert y3.digits == table.apply(table.apply(table.apply(x))).digits
 
 
 def test_triple_shift_example():
@@ -212,8 +259,8 @@ def test_iterate_table_matches_double_eval_exhaustive():
     n = 2 * 1 + 1 + 6  # n(k-l) + l + depth
     for idx in range(2**n):
         x = ZpApprox(2, _decode(idx, 2, n))
-        got = it.table.eval(x)
-        want = base.eval(base.eval(x))
+        got = it.table.apply(x)
+        want = base.apply(base.apply(x))
         assert got.digits == want.digits[: got.precision]
 
 
@@ -362,8 +409,6 @@ def test_table_sup_distance():
 
 
 def test_eval_domain_mismatch():
-    from padicdyn.core import PadicError
-
     with pytest.raises(PadicError):
         ShiftPower(Prime(2), 1).apply(QpApprox(2, -1, (1, 0, 1)))
     a = QpApprox(3, -1, (1, 0, 0))
@@ -377,11 +422,11 @@ def test_eval_insufficient_precision():
     rng = random.Random(41)
     table = random_table(rng, 2, ScalingClass(3, 1), 4)
     with pytest.raises(PrecisionError):
-        table.eval(ZpApprox(2, (1, 0)))
+        table.apply(ZpApprox(2, (1, 0)))
 
 
 def test_bounded_depth_eval_caps_output():
     rng = random.Random(43)
     table = random_table(rng, 2, ScalingClass(1, 1), 3, tail_projection=False)
-    y = table.eval(ZpApprox(2, (1, 0, 1, 1, 0, 1, 1, 0)))
+    y = table.apply(ZpApprox(2, (1, 0, 1, 1, 0, 1, 1, 0)))
     assert y.precision == 3

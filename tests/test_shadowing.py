@@ -27,8 +27,6 @@ from padicdyn.shadowing import (
     CertificationError,
     ConstraintUnsolvable,
     PseudoOrbit,
-    _DigitStream,
-    _extend_stream,
     _solve_next_digit,
     certify_expansion,
     certify_one_lipschitz,
@@ -66,7 +64,7 @@ def test_perturb_orbit_certified_delta():
         orbit = perturb_orbit(table, x0, 2, 4, seed=trial)
         assert orbit.validate(table)
         assert orbit.certified_delta.leq_pow(2)
-        recomputed = [orbit.points[i + 1] - table.eval(orbit.points[i])
+        recomputed = [orbit.points[i + 1] - table.apply(orbit.points[i])
                       for i in range(4)]
         for w, r in zip(orbit.residuals, recomputed):
             assert w == r
@@ -79,7 +77,7 @@ def test_perturb_orbit_at_precision_floor_is_true_orbit():
     for n in range(5):
         want = x0
         for _ in range(n):
-            want = table.eval(want)
+            want = table.apply(want)
         assert orbit.points[n] == want
 
 
@@ -136,7 +134,7 @@ def test_shadow_epsilon_delta_pairing():
     for n in range(len(orbit.points)):
         assert distance(orbit.points[n], cur).leq_pow(3)
         if n < len(orbit.points) - 1:
-            cur = table.eval(cur)
+            cur = table.apply(cur)
 
 
 def test_shadow_m_equals_k_delta():
@@ -179,7 +177,7 @@ def test_shadow_detects_lying_residuals():
     # at s=1 the automatic digit of f(y) must match the orbit, and does not
     table = table_from_spec(ShiftPower(Prime(2), 1))
     x0 = ZpApprox.from_int(0b1010101, 2, 10)
-    x1_true = table.eval(x0)
+    x1_true = table.apply(x0)
     x1_bad = x1_true + ZpApprox.from_int(1, 2, x1_true.precision)  # error 2^0
     zero = ZpApprox.from_int(0, 2, x1_true.precision)
     lying = PseudoOrbit((x0, x1_bad), (zero,))
@@ -191,13 +189,13 @@ def test_shadow_detects_lying_residuals():
 def _brute_next_digits(table, levels, n, target):
     """Every digit c whose cascade through the forward digit functions of
     levels 1..n gives ``target``: the p-candidate search, as a reference."""
+    p = table.prime
     found = []
-    for c in range(table.prime):
+    for c in range(p):
         d = c
         for j in range(1, n + 1):
-            prev = levels[j - 1]
-            t = len(prev)
-            d = table.digit_value(len(levels[j]), prev.prefix_index(t) + d * prev.p**t)
+            prev, t = levels[j - 1]
+            d = table.digit_value(levels[j][1], prev + d * p**t)
         if d == target:
             found.append(c)
     return found
@@ -205,15 +203,21 @@ def _brute_next_digits(table, levels, n, target):
 
 def _solve_levels(table, n, seed):
     """levels[0] a random start with the n * m + l digits the n-th level
-    needs before its first solve, and levels 1..n its iterates."""
+    needs before its first solve, and levels 1..n its iterates, each a digit
+    stream (value, length)."""
     rng = random.Random(seed)
     k, m = table.klass.k, table.klass.m
-    levels = [_DigitStream(table.prime, [rng.randrange(table.prime)
-                                         for _ in range(n * m + k - m)])]
+    p, t = table.prime, n * m + k - m
+    levels = [(sum(rng.randrange(p) * p**i for i in range(t)), t)]
     for j in range(n):
-        levels.append(_DigitStream(table.prime))
-        _extend_stream(table, levels[j], levels[j + 1])
+        levels.append(table.output_value(*levels[j], 0, 0))
     return levels
+
+
+def _digit(stream, i, p):
+    value, length = stream
+    assert i < length
+    return value // p**i % p
 
 
 def test_solve_next_digit_agrees_with_candidate_search():
@@ -224,15 +228,15 @@ def test_solve_next_digit_agrees_with_candidate_search():
                              tail_projection=tail)
         for n in (1, 2, 3):
             levels = _solve_levels(table, n, rng.randrange(2**32))
-            while table.has_digit(len(levels[1])):
+            while table.has_digit(levels[1][1]):
                 target = rng.randrange(p)
                 want = _brute_next_digits(table, levels, n, target)
                 assert len(want) == 1
-                i = len(levels[n])
+                i = levels[n][1]
                 _solve_next_digit(table, levels, n, i, target)
-                assert levels[0].digits[-1] == want[0]
-                assert levels[n].digits[i] == target
-                if len(levels[0]) > 40:
+                assert _digit(levels[0], levels[0][1] - 1, p) == want[0]
+                assert _digit(levels[n], i, p) == target
+                if levels[0][1] > 40:
                     break
 
 
@@ -242,7 +246,7 @@ def test_wrong_inverse_fails_the_forward_recheck():
     table = random_table(random.Random(31), 2, ScalingClass(2, 1), 8)
     n = 2
     levels = _solve_levels(table, n, 37)
-    i = len(levels[n])
+    i = levels[n][1]
     want = _brute_next_digits(table, levels, n, 1)
     assert len(want) == 1
     # flip the answer at level n only; the lookup at level 1 is left true
@@ -251,7 +255,7 @@ def test_wrong_inverse_fails_the_forward_recheck():
                        lambda j, prefix, target: inverse(j, prefix, target) ^ (j == i))
     with pytest.raises(ConstraintUnsolvable, match="fails the forward tables"):
         _solve_next_digit(table, levels, n, i, 1)
-    assert levels[0].digits[-1] == 1 - want[0]
+    assert _digit(levels[0], levels[0][1] - 1, 2) == 1 - want[0]
 
 
 def test_non_bijective_row_fails_the_solve():
@@ -260,8 +264,8 @@ def test_non_bijective_row_fails_the_solve():
     table = random_table(random.Random(41), 3, ScalingClass(2, 1), 4)
     n = 1
     levels = _solve_levels(table, n, 43)
-    i = len(levels[n])
-    prefix = levels[0].prefix_index(len(levels[0]))
+    i = levels[n][1]
+    prefix = levels[0][0]
     row = list(table.tables[i])
     P = len(row) // 3
     row[prefix::P] = [0, 0, 0]
