@@ -22,16 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import PadicError, PNorm, PrecisionError, ZpApprox, distance
+from .core import PadicError, PNorm, PrecisionError, ZpApprox, _val, distance
 from .maps import (
     DepthExhausted,
     DigitFunctionTable,
     IterateTable,
     MapSpec,
-    Rmap,
     ScalingClass,
-    ShiftPower,
-    Tj,
     _check_budget,
     _decode,
     table_from_spec,
@@ -64,14 +61,6 @@ class ScalingReport:
                 "got": got.describe(p),
             }
         return d
-
-
-def _val_p(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
@@ -108,15 +97,15 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
             values.append((y.to_int(), y.precision))
         for xi in range(p**N):
             for yi in range(xi + 1, p**N):
-                j = _val_p(yi - xi, p)
+                j = _val(yi - xi, p, N)
                 if j < k or j >= N - m:
                     continue
                 pairs += 1
                 (vx, nx), (vy, ny) = values[xi], values[yi]
                 n_cmp = min(nx, ny)
                 d = (vx - vy) % p**n_cmp
-                if d == 0 or _val_p(d, p) != j - m:
-                    got = PNorm(n_cmp, exact=False) if d == 0 else PNorm(_val_p(d, p))
+                if d == 0 or _val(d, p, n_cmp) != j - m:
+                    got = PNorm(n_cmp, exact=False) if d == 0 else PNorm(_val(d, p, n_cmp))
                     return ScalingReport(
                         klass, False,
                         (_decode(xi, p, N), _decode(yi, p, N), j - m, got),
@@ -238,21 +227,10 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
     )
 
 
-def closed_form_fixed_points(spec, iterate_n: int = 1) -> int | None:
-    """Closed-form predictions for the classical maps: p^m for S^m,
-    p^(m+j) for T_j, and p^(m-1)(p-1) + p^(m+1) for R (iterate 1 only for
-    T_j/R).  The R form is the traditional prediction; exhaustive counting
-    gives p^(m-1)(p-1) + p^m, so reports carry both for comparison."""
-    if isinstance(spec, ShiftPower):
-        return int(spec.prime) ** (spec.m * iterate_n)
-    if iterate_n != 1:
-        return None
-    if isinstance(spec, Tj):
-        return int(spec.prime) ** (spec.m + spec.j)
-    if isinstance(spec, Rmap):
-        p, m = int(spec.prime), spec.m
-        return p ** (m - 1) * (p - 1) + p ** (m + 1)
-    return None
+def closed_form_fixed_points(spec: MapSpec, iterate_n: int = 1) -> int | None:
+    """The spec's closed-form count: p^(mn) for S^m, p^(m+j) for T_j and
+    p^(m-1)(p-1) + p^(m+1) for R (n = 1 only for T_j and R), else None."""
+    return spec.closed_form(iterate_n)
 
 
 @dataclass(frozen=True)
@@ -315,7 +293,8 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
     p = table.prime
     m, l = table.klass.m, table.klass.l
     K = n * m + l
-    _check_budget(p**K, f"the seeds of period {n}")
+    # each seed costs n kernel calls plus up to ``precision`` solve steps
+    _check_budget(p**K * (n + precision), f"the seeds of period {n}")
     seeds = []
     points = []
     head = p**l
@@ -359,9 +338,7 @@ class ShadowingModulus:
         return self.klass.k + s
 
     def delta_exponent(self, s: int) -> int:
-        if self.klass.m == self.klass.k:
-            return self.klass.k + s
-        return self.klass.l + s
+        return self.klass.delta_exponent(s)
 
     def as_dict(self) -> dict:
         return {

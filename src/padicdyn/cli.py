@@ -56,7 +56,6 @@ from .maps import (
     extract_table,
     load_spec,
     mahler_coefficients,
-    scaling_class_of,
     table_from_spec,
 )
 from .mahler import one_lipschitz_report
@@ -125,8 +124,7 @@ def _rng_header(seed: int | None) -> dict:
 
 def cmd_validate(args) -> dict:
     spec = _load_map(args.map)
-    klass = (ScalingClass(args.k, args.m) if args.k is not None
-             else scaling_class_of(spec))
+    klass = ScalingClass(args.k, args.m) if args.k is not None else spec.klass
     if klass is None:
         raise PrecisionError("no scaling class known for this map; pass --k/--m")
     depth = args.depth if args.depth is not None else max(klass.l + 1, 4)
@@ -267,8 +265,7 @@ def cmd_conjugate(args) -> dict:
         points = [parse_value(t.strip(), "qp" if spec.domain == "qp" else "zp")
                   for t in args.points.split(";") if t.strip()]
     else:
-        sample_domain = g_map if isinstance(g_map, MapSpec) else spec
-        points = _sample_points(sample_domain if isinstance(sample_domain, MapSpec) else spec,
+        points = _sample_points(g_map if isinstance(g_map, MapSpec) else spec,
                                 args.samples, args.precision, args.seed or 0)
     report = verify_conjugacy(cm, f_map, g_map, points)
     out = {

@@ -56,7 +56,6 @@ from .shadowing import (
     _sampled_contraction,
     _solve_next_digit,
     certify_expansion,
-    invert_spec,
     shadow_locally_scaling,
 )
 
@@ -149,7 +148,7 @@ def conjugate_nearby(f_table: DigitFunctionTable, g_map, x: ZpApprox,
     produces the unique shadow.  The returned value carries exactly the
     digits the horizon determines (k + s + horizon*m of them).
     """
-    k, m, l = f_table.klass.k, f_table.klass.m, f_table.klass.l
+    k, m = f_table.klass.k, f_table.klass.m
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     need = k + s + horizon * m
@@ -160,7 +159,7 @@ def conjugate_nearby(f_table: DigitFunctionTable, g_map, x: ZpApprox,
     for _ in range(horizon):
         points.append(g_map.apply(points[-1]))
     orbit = PseudoOrbit.from_map(f_table, points)
-    delta_exp = (l + s) if m < k else (k + s)
+    delta_exp = f_table.klass.delta_exponent(s)
     if not orbit.certified_delta.leq_pow(delta_exp):
         raise CertificationError(
             f"||f-g|| hypothesis violated along the orbit: residuals reach "
@@ -178,8 +177,7 @@ def nearby_conjugacy(f_table: DigitFunctionTable, g_table: DigitFunctionTable,
     The hypothesis ||f-g||_inf <= p^-(l+s) (p^-(k+s) for m = k) is checked
     exactly by exhaustive table comparison through ``hypothesis_depth``.
     """
-    k, m, l = f_table.klass.k, f_table.klass.m, f_table.klass.l
-    delta_exp = (l + s) if m < k else (k + s)
+    delta_exp = f_table.klass.delta_exponent(s)
     depth = hypothesis_depth if hypothesis_depth is not None else delta_exp
     i0 = table_sup_distance_exponent(f_table, g_table, depth)
     if i0 is not None and i0 < delta_exp:
@@ -406,7 +404,7 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
         else:
             fwd_step, bwd_step = (lambda z: a_inv * z), (lambda z: a * z)
     else:
-        g_inv = invert_spec(g)
+        g_inv = g.inverse_spec()
         fwd, bwd = (g, g_inv) if k > 0 else (g_inv, g)
         fwd_step, bwd_step = fwd.apply, bwd.apply
 

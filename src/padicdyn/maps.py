@@ -19,6 +19,7 @@ Every map object -- the map specifications (:class:`ShiftPower`,
 series, compositions), :class:`DigitFunctionTable` and
 :class:`IterateTable` -- answers to ``prime`` and ``apply(x)``: the result
 carries exactly the digits determined by the input, computed per variant.
+Each spec class states the facts its definition proves (see :class:`MapSpec`).
 Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
 """
 
@@ -41,7 +42,8 @@ from .core import (
     mod_zp,
     parse_value,
 )
-from .mahler import MahlerSeries, mahler_eval, legendre_valuation, series_from_values
+from .mahler import (MahlerSeries, legendre_valuation, mahler_eval, one_lipschitz_report,
+                     series_from_values)
 
 
 class BijectivityViolation(PadicError):
@@ -73,6 +75,11 @@ class DepthExhausted(PadicError):
     """A table has no digit function at the requested output index."""
 
 
+class CertificationError(PadicError):
+    """A certified map property (Lipschitz bound, expansion constant) was
+    contradicted by exact recomputation; the witness is in the message."""
+
+
 # the most table entries, seeds or inputs one table build or point count
 # enumerates; work that grows as p^arity is refused above it, not started
 ENTRY_BUDGET = 2**20
@@ -98,6 +105,10 @@ class ScalingClass:
     @property
     def l(self) -> int:
         return self.k - self.m
+
+    def delta_exponent(self, s: int) -> int:
+        """delta = p^-(l+s) (p^-(k+s) when m = k) shadows at epsilon = p^-(k+s)."""
+        return (self.l + s) if self.m < self.k else (self.k + s)
 
 
 @dataclass(frozen=True)
@@ -301,9 +312,34 @@ def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
 
 class MapSpec:
     """Base class for serializable map descriptions.  Subclasses set
-    ``domain`` to "zp" or "qp" and implement ``apply``."""
+    ``domain`` to "zp" or "qp" and implement ``apply``.
+
+    Each subclass states the facts its definition proves, "not known" (None)
+    by default: ``klass``, the scaling class; ``structural_table()``;
+    ``closed_form(n)``, the count of points of period dividing n; the route
+    that certifies it 1-Lipschitz; its exact expansion exponent on Q_p; an
+    exact ``inverse_spec()``.  Callers fall back to extraction or sampling,
+    and a composition runs that fallback ``sample`` on each part without the
+    fact.  A fact that fails for the instance raises CertificationError.
+    """
 
     domain = "zp"
+    klass = None
+
+    def structural_table(self):
+        return None
+
+    def closed_form(self, n: int):
+        return None
+
+    def lipschitz_route(self, sample):
+        return None
+
+    def expansion_exponent(self, sample=lambda spec: None):
+        return None
+
+    def inverse_spec(self) -> "MapSpec":
+        raise PadicError(f"no exact inverse available for {type(self).__name__}")
 
     def apply(self, x):
         raise NotImplementedError
@@ -339,6 +375,7 @@ class ShiftPower(MapSpec):
         object.__setattr__(self, "prime", Prime(self.prime))
         if self.m < 1:
             raise ValueError("shift power must be >= 1")
+        object.__setattr__(self, "klass", ScalingClass(self.m, self.m))
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         self._check_domain(x)
@@ -348,6 +385,12 @@ class ShiftPower(MapSpec):
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out + self.m
+
+    def structural_table(self) -> DigitFunctionTable:
+        return DigitFunctionTable(self.prime, self.klass, (), tail_projection=True)
+
+    def closed_form(self, n: int) -> int:
+        return int(self.prime) ** (self.m * n)
 
     def spec_dict(self) -> dict:
         return {"type": "shift_power", "p": int(self.prime), "m": self.m}
@@ -369,6 +412,7 @@ class Tj(MapSpec):
         object.__setattr__(self, "prime", Prime(self.prime))
         if self.m < 1 or self.j < 0:
             raise ValueError("need m >= 1 and j >= 0")
+        object.__setattr__(self, "klass", ScalingClass(self.m + self.j, self.m))
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         self._check_domain(x)
@@ -381,6 +425,16 @@ class Tj(MapSpec):
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out if n_out <= self.j else n_out + self.m
+
+    def structural_table(self) -> DigitFunctionTable:
+        # head digit i < j copies input digit i; the tail is the projection
+        p, k = self.prime, self.m + self.j
+        _check_budget(self.j * p**k, "the T_j head tables")
+        heads = tuple(tuple(idx // p**i % p for idx in range(p**k)) for i in range(self.j))
+        return DigitFunctionTable(p, self.klass, heads, tail_projection=True)
+
+    def closed_form(self, n: int) -> int | None:
+        return int(self.prime) ** (self.m + self.j) if n == 1 else None
 
     def spec_dict(self) -> dict:
         return {"type": "tj", "p": int(self.prime), "m": self.m, "j": self.j}
@@ -401,6 +455,7 @@ class Rmap(MapSpec):
         object.__setattr__(self, "prime", Prime(self.prime))
         if self.m < 1:
             raise ValueError("need m >= 1")
+        object.__setattr__(self, "klass", ScalingClass(self.m + 1, self.m))
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         self._check_domain(x)
@@ -412,6 +467,20 @@ class Rmap(MapSpec):
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out + self.m
+
+    def structural_table(self) -> DigitFunctionTable:
+        # the one head digit is x_m, or p-1 on the T_1 branch x_0 = p-1
+        p, k = self.prime, self.m + 1
+        _check_budget(p**k, "the R head table")
+        head = tuple(idx // p**self.m % p if idx % p != p - 1 else p - 1
+                     for idx in range(p**k))
+        return DigitFunctionTable(p, self.klass, (head,), tail_projection=True)
+
+    def closed_form(self, n: int) -> int | None:
+        # the traditional prediction; exhaustive counting gives
+        # p^(m-1)(p-1) + p^m, so reports carry both
+        p, m = int(self.prime), self.m
+        return p ** (m - 1) * (p - 1) + p ** (m + 1) if n == 1 else None
 
     def spec_dict(self) -> dict:
         return {"type": "r_map", "p": int(self.prime), "m": self.m}
@@ -438,6 +507,9 @@ class AffineZp(MapSpec):
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out
+
+    def lipschitz_route(self, sample) -> str:
+        return "structural:affine"
 
     def spec_dict(self) -> dict:
         return {
@@ -466,14 +538,12 @@ class AffineQp(MapSpec):
     def prime(self) -> Prime:
         return self.a.prime
 
-    @property
-    def scaling_exponent(self) -> int:
-        """k with ||a||_p = p^k."""
-        return -self.a.norm().exponent
-
     def apply(self, x: QpApprox) -> QpApprox:
         self._check_domain(x)
         return self.a * x + self.b
+
+    def expansion_exponent(self, sample=lambda spec: None) -> int:
+        return -self.a.normalize().valuation_offset
 
     def inverse_spec(self) -> "AffineQp":
         a_inv = inverse_unit(self.a)
@@ -504,6 +574,8 @@ class GaModZp(MapSpec):
     def __post_init__(self):
         if not self.a.value:
             raise ZeroAtPrecision("a is indistinguishable from zero")
+        k = -self.a.norm().exponent
+        object.__setattr__(self, "klass", ScalingClass(k, k) if k >= 1 else None)
 
     @property
     def prime(self) -> Prime:
@@ -516,6 +588,11 @@ class GaModZp(MapSpec):
     def min_input_precision(self, n_out: int) -> int:
         va = self.a.normalize().valuation_offset
         return max(n_out - va, 1)
+
+    def lipschitz_route(self, sample) -> str:
+        if self.a.norm().exponent >= 0:
+            return "structural:ga-mod-zp"
+        raise CertificationError("cannot certify ||a|| <= 1: g_a may expand")
 
     def spec_dict(self) -> dict:
         return {"type": "ga_mod_zp", "p": int(self.prime), "a": encode_value(self.a)}
@@ -551,6 +628,9 @@ class Substitution(MapSpec):
     def min_input_precision(self, n_out: int) -> int:
         return n_out
 
+    def lipschitz_route(self, sample) -> str:
+        return "structural:substitution"
+
     def spec_dict(self) -> dict:
         return {"type": "substitution", "p": int(self.prime),
                 "rules": [list(w) for w in self.rules]}
@@ -572,6 +652,13 @@ class TableMap(MapSpec):
     def min_input_precision(self, n_out: int) -> int:
         k, l = self.table.klass.k, self.table.klass.l
         return k if n_out <= l else k - l + n_out
+
+    @property
+    def klass(self) -> ScalingClass:
+        return self.table.klass
+
+    def structural_table(self) -> DigitFunctionTable:
+        return self.table
 
     def spec_dict(self) -> dict:
         t = self.table
@@ -602,6 +689,13 @@ class MahlerMap(MapSpec):
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out + legendre_valuation(max(self.series.terms - 1, 0), self.prime)
+
+    def lipschitz_route(self, sample) -> str:
+        report = one_lipschitz_report(self.series)
+        if report.passed:
+            return "mahler-criterion"
+        raise CertificationError(
+            f"Mahler criterion violated first at n={report.first_violation}")
 
     def spec_dict(self) -> dict:
         return {
@@ -644,60 +738,44 @@ class Compose(MapSpec):
             need = part.min_input_precision(need)
         return need
 
+    def lipschitz_route(self, sample) -> str:
+        # each part is certified on its own: by its fact, else by ``sample``
+        for part in self.parts:
+            part.lipschitz_route(sample) or sample(part)
+        return "structural:composition"
+
+    def expansion_exponent(self, sample=lambda spec: None) -> int | None:
+        # exact scaling constants add up; a part without the fact is sampled
+        total = 0
+        for part in self.parts:
+            k = part.expansion_exponent(sample)
+            k = sample(part) if k is None else k
+            if k is None:
+                return None
+            total += k
+        return total
+
+    def inverse_spec(self) -> "Compose":
+        return Compose(tuple(part.inverse_spec() for part in reversed(self.parts)))
+
     def spec_dict(self) -> dict:
         return {"type": "compose", "p": int(self.prime),
                 "parts": [part.spec_dict() for part in self.parts]}
 
 
-def scaling_class_of(spec: MapSpec) -> ScalingClass | None:
-    """The known scaling class of the classical specs, None otherwise."""
-    if isinstance(spec, ShiftPower):
-        return ScalingClass(spec.m, spec.m)
-    if isinstance(spec, Tj):
-        return ScalingClass(spec.m + spec.j, spec.m)
-    if isinstance(spec, Rmap):
-        return ScalingClass(spec.m + 1, spec.m)
-    if isinstance(spec, TableMap):
-        return spec.table.klass
-    if isinstance(spec, GaModZp):
-        k = -spec.a.norm().exponent
-        return ScalingClass(k, k) if k >= 1 else None
-    return None
-
-
 def table_from_spec(spec: MapSpec, depth: int | None = None) -> DigitFunctionTable:
-    """Exact structural tables for the classical maps.
+    """The spec's structural table, else :func:`extract_table` at its known
+    scaling class, which needs an explicit depth.
 
     Shift powers, T_j and R have projection tails, so only the l head
-    functions are stored and ``tail_projection`` covers every depth.  Other
-    specs go through :func:`extract_table`, which needs an explicit depth.
+    functions are stored and ``tail_projection`` covers every depth.
     """
-    if isinstance(spec, TableMap):
-        return spec.table
-    p = spec.prime
-    if isinstance(spec, ShiftPower):
-        return DigitFunctionTable(p, ScalingClass(spec.m, spec.m), (), tail_projection=True)
-    if isinstance(spec, Tj):
-        if spec.j == 0:
-            return DigitFunctionTable(p, ScalingClass(spec.m, spec.m), (), tail_projection=True)
-        k = spec.m + spec.j
-        _check_budget(spec.j * p**k, "the T_j head tables")
-        heads = []
-        for i in range(spec.j):
-            heads.append(tuple(_decode(idx, p, k)[i] for idx in range(p**k)))
-        return DigitFunctionTable(p, ScalingClass(k, spec.m), tuple(heads), tail_projection=True)
-    if isinstance(spec, Rmap):
-        k = spec.m + 1
-        _check_budget(p**k, "the R head table")
-        head = []
-        for idx in range(p**k):
-            digs = _decode(idx, p, k)
-            head.append(digs[spec.m] if digs[0] != p - 1 else p - 1)
-        return DigitFunctionTable(p, ScalingClass(k, spec.m), (tuple(head),), tail_projection=True)
-    klass = scaling_class_of(spec)
-    if klass is None or depth is None:
+    table = spec.structural_table()
+    if table is not None:
+        return table
+    if spec.klass is None or depth is None:
         raise ValueError("no structural table; use extract_table with an explicit class")
-    return extract_table(spec, klass, depth)
+    return extract_table(spec, spec.klass, depth)
 
 
 def _eval_prefix(spec: MapSpec, prefix, n_out: int) -> ZpApprox:

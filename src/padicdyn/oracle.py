@@ -2,13 +2,14 @@
 
 Everything here is deliberately dumb: exhaustive enumeration of residues
 mod p^N using plain integers and direct map evaluation, with none of the
-seed-constraint or digit-solving machinery it is used to check.
+seed-constraint or digit-solving machinery it is used to check.  An
+enumeration over ``maps.ENTRY_BUDGET`` residues is refused before it starts.
 """
 
 from __future__ import annotations
 
 from .core import PadicError, ZpApprox
-from .maps import _decode
+from .maps import _check_budget, _decode
 
 
 def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
@@ -19,6 +20,7 @@ def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
     is the exact fixed-point count whenever N >= k.
     """
     p = prime
+    _check_budget(p**precision, "the brute-force fixed-point count")
     count = 0
     for xi in range(p**precision):
         x = ZpApprox(p, _decode(xi, p, precision))
@@ -31,6 +33,7 @@ def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
 def brute_periodic_point_count(map_like, prime: int, n: int, precision: int) -> int:
     """Count x in Z/p^N with f^n(x) = x on every determined digit."""
     p = prime
+    _check_budget(p**precision, "the brute-force periodic-point count")
     count = 0
     for xi in range(p**precision):
         x = ZpApprox(p, _decode(xi, p, precision))
@@ -55,6 +58,7 @@ def brute_shadow_points(map_like, orbit_points, k: int, m: int, s: int,
     """
     p = orbit_points[0].prime
     want = k + s
+    _check_budget(p**precision, "the brute-force shadow search")
     out = []
     for yi in range(p**precision):
         y = ZpApprox(p, _decode(yi, p, precision))

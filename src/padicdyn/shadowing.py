@@ -46,6 +46,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import (
     PadicError,
@@ -61,17 +62,7 @@ from .core import (
     parse_value,
     pnorm_max,
 )
-from .maps import (
-    AffineQp,
-    AffineZp,
-    Compose,
-    DigitFunctionTable,
-    GaModZp,
-    MahlerMap,
-    MapSpec,
-    Substitution,
-)
-from .mahler import one_lipschitz_report
+from .maps import AffineQp, CertificationError, DigitFunctionTable, MapSpec
 
 
 class ConstraintUnsolvable(PadicError):
@@ -82,11 +73,6 @@ class ConstraintUnsolvable(PadicError):
         self.step = step
         self.digit_index = digit_index
         super().__init__(f"step {step}, output digit {digit_index}: {reason}")
-
-
-class CertificationError(PadicError):
-    """A certified map property (Lipschitz bound, expansion constant) was
-    contradicted by exact recomputation; the witness is in the message."""
 
 
 @dataclass(frozen=True)
@@ -172,15 +158,6 @@ def perturb_orbit(map_like, x0: ZpApprox, delta_exponent: int, steps: int,
     return PseudoOrbit(tuple(points), tuple(residuals), 0)
 
 
-def invert_spec(spec: MapSpec) -> MapSpec:
-    """Exact inverse of an invertible Q_p spec (affine maps and compositions)."""
-    if isinstance(spec, AffineQp):
-        return spec.inverse_spec()
-    if isinstance(spec, Compose):
-        return Compose(tuple(invert_spec(part) for part in reversed(spec.parts)))
-    raise PadicError(f"no exact inverse available for {type(spec).__name__}")
-
-
 def _random_qp_residual(rng, p: int, delta_exp: int, width: int) -> QpApprox:
     return QpApprox(p, delta_exp, tuple(rng.randrange(p) for _ in range(width)))
 
@@ -196,7 +173,7 @@ def perturb_orbit_two_sided(spec: MapSpec, x0: QpApprox, delta_exponent: int,
     if back < 0 or forward < 0:
         raise ValueError(f"step counts must be >= 0, got back={back}, forward={forward}")
     rng = random.Random(seed)
-    inv = invert_spec(spec)
+    inv = spec.inverse_spec()
     width = x0.width
     fwd_points = [x0]
     for _ in range(forward):
@@ -291,9 +268,9 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
         raise PadicError("the locally scaling solver is one-sided; got a two-sided orbit")
     if s < 0:
         raise ValueError("s must be >= 0")
-    k, m, l = table.klass.k, table.klass.m, table.klass.l
+    k, l = table.klass.k, table.klass.l
     p = table.prime
-    delta_exp = (l + s) if m < k else (k + s)
+    delta_exp = table.klass.delta_exponent(s)
     if not orbit.certified_delta.leq_pow(delta_exp):
         raise PrecisionError(
             f"orbit certified at {orbit.certified_delta.describe(p)}, "
@@ -353,30 +330,15 @@ def certify_one_lipschitz(map_like, *, samples: int = 256, precision: int = 10,
                           seed: int = 0):
     """Certify that a Z_p map is 1-Lipschitz; returns the method used.
 
-    Substitutions and affine maps are 1-Lipschitz structurally; a Mahler map
-    is certified through the coefficient criterion; anything else is checked
-    on seeded sample pairs.  Raises :class:`CertificationError` with a
-    witness when a sampled pair certifiably expands.
+    The map's own route (:meth:`MapSpec.lipschitz_route`: substitutions,
+    affine maps, g_a with ||a|| <= 1, the Mahler criterion, compositions
+    part by part) is used when it states one; anything else is checked on
+    seeded sample pairs.  Raises :class:`CertificationError` with a witness
+    when the route fails or a sampled pair certifiably expands.
     """
-    if isinstance(map_like, Substitution):
-        return "structural:substitution"
-    if isinstance(map_like, AffineZp):
-        return "structural:affine"
-    if isinstance(map_like, GaModZp):
-        if map_like.a.norm().exponent >= 0:
-            return "structural:ga-mod-zp"
-        raise CertificationError("cannot certify ||a|| <= 1: g_a may expand")
-    if isinstance(map_like, MahlerMap):
-        report = one_lipschitz_report(map_like.series)
-        if report.passed:
-            return "mahler-criterion"
-        raise CertificationError(
-            f"Mahler criterion violated first at n={report.first_violation}")
-    if isinstance(map_like, Compose):
-        for part in map_like.parts:
-            certify_one_lipschitz(part, samples=samples, precision=precision, seed=seed)
-        return "structural:composition"
-    return _sampled_contraction(map_like, 0, samples, precision, seed)
+    sample = partial(_sampled_contraction, min_exponent=0, samples=samples,
+                     precision=precision, seed=seed)
+    return map_like.lipschitz_route(sample) or sample(map_like)
 
 
 def _sampled_contraction(f, min_exponent: int, samples: int, precision: int,
@@ -512,14 +474,16 @@ def _two_sided_distances(f: MapSpec, f_inv: MapSpec, point, orbit: PseudoOrbit,
 def certify_expansion(spec: MapSpec, *, samples: int = 128, seed: int = 0) -> int:
     """Certify an exact expansion constant p^k for a Q_p spec.
 
-    Affine maps carry it structurally (k = -val(a)); otherwise seeded sample
-    pairs must all scale by the same exact power, which is returned.
+    The spec's own exponent is used when it states one (affine maps and
+    compositions of them); otherwise seeded sample pairs must all scale by
+    the same exact power, which is returned.
     """
-    if isinstance(spec, AffineQp):
-        return -spec.a.normalize().valuation_offset
-    if isinstance(spec, Compose):
-        return sum(certify_expansion(part, samples=samples, seed=seed)
-                   for part in spec.parts)
+    sample = partial(_sampled_expansion, samples=samples, seed=seed)
+    k = spec.expansion_exponent(sample)
+    return sample(spec) if k is None else k
+
+
+def _sampled_expansion(spec: MapSpec, samples: int, seed: int) -> int:
     rng = random.Random(seed)
     p = spec.prime
     k = None
@@ -558,7 +522,7 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     k = certify_expansion(g)
     if k < 1:
         raise CertificationError(f"not a dilatation: certified constant p^{k}")
-    g_inv = invert_spec(g)
+    g_inv = g.inverse_spec()
     p = g.prime
     delta = orbit.certified_delta
     eps_exp = delta.exponent

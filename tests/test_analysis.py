@@ -13,8 +13,9 @@ from padicdyn.analysis import (
     shadowing_modulus_bound,
     verify_scaling,
 )
-from padicdyn.core import ZpApprox, distance
+from padicdyn.core import PrecisionError, ZpApprox, distance
 from padicdyn.maps import (
+    ENTRY_BUDGET,
     DepthExhausted,
     DigitFunctionTable,
     Prime,
@@ -26,7 +27,11 @@ from padicdyn.maps import (
     random_table,
     table_from_spec,
 )
-from padicdyn.oracle import brute_fixed_point_count, brute_periodic_point_count
+from padicdyn.oracle import (
+    brute_fixed_point_count,
+    brute_periodic_point_count,
+    brute_shadow_points,
+)
 
 
 def test_verify_scaling_shift_exhaustive():
@@ -277,3 +282,33 @@ def test_fixed_point_report_dict_shape():
     assert d["count"] == 2 and d["matches_closed_form"] is True
     r2 = fixed_points(Rmap(Prime(2), 1), precision=6)
     assert r2.as_dict(2)["matches_closed_form"] is False
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("enumeration started before the budget check")
+
+
+def test_periodic_points_budget_counts_extension_work(monkeypatch):
+    # 2^19 seeds fit the entry budget, but with n kernel calls and up to
+    # `precision` solve steps each the work does not; no seed is touched
+    n, precision = ENTRY_BUDGET.bit_length() - 2, 12
+    assert 2**n <= ENTRY_BUDGET < 2**n * (n + precision)
+    table = table_from_spec(ShiftPower(Prime(2), 1))
+    monkeypatch.setattr(DigitFunctionTable, "output_value", _refuse)
+    with pytest.raises(PrecisionError, match="over the budget"):
+        periodic_points(table, n, precision=precision)
+
+
+def test_brute_force_oracles_refuse_over_budget():
+    class NeverEvaluated:
+        prime = Prime(2)
+        apply = staticmethod(_refuse)
+
+    f, precision = NeverEvaluated(), ENTRY_BUDGET.bit_length()
+    assert 2**precision > ENTRY_BUDGET
+    orbit = [ZpApprox(2, (0,) * 4)] * 2
+    for call in (lambda: brute_fixed_point_count(f, 2, precision),
+                 lambda: brute_periodic_point_count(f, 2, 3, precision),
+                 lambda: brute_shadow_points(f, orbit, 1, 1, 0, precision)):
+        with pytest.raises(PrecisionError, match="over the budget"):
+            call()

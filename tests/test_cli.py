@@ -302,6 +302,12 @@ def test_exit_codes(specs, capsys, tmp_path):
                     ["fixed-points", "--map", str(huge_tj)]):
         assert main(command) == 3, command
         assert "over the budget" in capsys.readouterr().err
+    # precondition: a brute force over 2^40 residues, and 2^19 seeds of period
+    # 19 that each cost 19 kernel calls and up to 12 solve steps
+    for command in (["oracle", "fixed-points", "--map", str(shift_path), "--precision", "40"],
+                    ["fixed-points", "--map", str(shift_path), "--iterate", "19"]):
+        assert main(command) == 3, command
+        assert "over the budget" in capsys.readouterr().err
     # precondition: negative step counts for a two-sided orbit
     for back, steps in (("-2", "3"), ("2", "-3")):
         assert main(["orbit", "--map", specs["affq"], "--two-sided", "--back", back,
