@@ -5,6 +5,8 @@ Certifying a scaling class means checking the exact norm equality
 expansivity means watching distinct truncations separate beyond p^-k under
 iteration.  Both run exhaustively at desk scale and by seeded stratified
 sampling above it, and both report witnesses rather than booleans alone.
+At desk scale the scaling check runs per residue class mod p^j, not per
+pair; only a failed check walks the pairs, for the first violating one.
 
 Fixed and periodic points are counted by the seed-constraint argument, not
 root finding: a point of period dividing n is determined by its first
@@ -63,14 +65,57 @@ class ScalingReport:
         return d
 
 
+def _scaling_miss(vx: int, nx: int, vy: int, ny: int, p: int, e: int) -> PNorm | None:
+    """None when two images lie at distance exactly p^-e, else their distance.
+
+    The images are the residues vx mod p^nx and vy mod p^ny, so their
+    difference is known mod p^min(nx, ny); a zero difference is only the
+    bound <= p^-min(nx, ny).
+    """
+    n = min(nx, ny)
+    d = (vx - vy) % p**n
+    if not d:
+        return PNorm(n, exact=False)
+    v = _val(d, p, n)
+    return None if v == e else PNorm(v)
+
+
+def _scales_per_class(values: list, p: int, N: int, k: int, m: int) -> bool:
+    """Whether every pair of inputs mod p^N at distance p^-j, j in [k, N-m),
+    has images at distance exactly p^-(j-m); ``values[x]`` is the image of x,
+    all at one output precision.
+
+    Inside each class c mod p^j that holds iff the images agree mod p^(j-m)
+    and their digit j-m depends only on x mod p^(j+1) and takes p distinct
+    values on the p subclasses c + d p^j: any two of the non-empty
+    subclasses need disjoint digit sets in a p-letter alphabet.  A digit
+    beyond the output precision reads 0 everywhere, so that stratum fails.
+    """
+    for j in range(k, N - m):
+        s, pj = p ** (j - m), p**j
+        low = [v % (p * s) for v in values]  # image digits 0..j-m
+        head = low[: p * pj]
+        if low != head * p ** (N - j - 1):
+            return False
+        subclasses = zip(*(head[d * pj:(d + 1) * pj] for d in range(p)))
+        if any(sorted(t) != list(range(t[0] % s, p * s, s)) for t in subclasses):
+            return False
+    return True
+
+
 def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
                    exhaustive_limit: int = 4096, per_stratum: int = 512,
                    seed: int = 0) -> ScalingReport:
     """Check ||f(x)-f(y)|| = p^m ||x-y|| on pairs with distance p^-j, j in [k, N-m).
 
-    Exhaustive over all pairs of N-digit truncations when p^N is small,
-    otherwise ``per_stratum`` seeded random pairs per distance stratum.
-    The first violating pair is returned as a witness.
+    Exhaustive over all pairs of N-digit truncations when p^N is small: the
+    p^N images are checked per residue class mod p^j, in O(N p^N), and a
+    verified report counts every pair of the strata.  When that check fails,
+    or the images come back at mixed output precisions, the pairs are walked
+    in (x, y) order and the first violating pair is the witness, with the
+    pairs walked up to it as the count.  Above the limit, ``per_stratum``
+    seeded random pairs per distance stratum are checked, and the first
+    violating one is the witness.
     """
     p = map_like.prime
     f = map_like.apply
@@ -80,32 +125,26 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
         raise PrecisionError(f"precision {N} < k+m+1 = {k + m + 1} certifies nothing")
     strata = range(k, N - m)
 
-    def check_pair(xi: int, yi: int, j: int):
-        fx = f(ZpApprox.from_int(xi, p, N))
-        fy = f(ZpApprox.from_int(yi, p, N))
-        got = distance(fx, fy)
-        if got.exact and got.exponent == j - m:
-            return None
-        return (_decode(xi, p, N), _decode(yi, p, N), j - m, got)
-
-    pairs = 0
     if p**N <= exhaustive_limit:
         mode = "exhaustive"
-        values = []
+        values, precisions = [], []
         for xi in range(p**N):
             y = f(ZpApprox.from_int(xi, p, N))
-            values.append((y.to_int(), y.precision))
+            values.append(y.value)
+            precisions.append(y.precision)
+        if len(set(precisions)) == 1 and _scales_per_class(values, p, N, k, m):
+            pairs = sum(p**N * (p - 1) * p ** (N - j - 1) // 2 for j in strata)
+            return ScalingReport(klass, True, None, pairs, mode)
+        pairs = 0
         for xi in range(p**N):
             for yi in range(xi + 1, p**N):
                 j = _val(yi - xi, p, N)
                 if j < k or j >= N - m:
                     continue
                 pairs += 1
-                (vx, nx), (vy, ny) = values[xi], values[yi]
-                n_cmp = min(nx, ny)
-                d = (vx - vy) % p**n_cmp
-                if d == 0 or _val(d, p, n_cmp) != j - m:
-                    got = PNorm(n_cmp, exact=False) if d == 0 else PNorm(_val(d, p, n_cmp))
+                got = _scaling_miss(values[xi], precisions[xi], values[yi], precisions[yi],
+                                    p, j - m)
+                if got is not None:
                     return ScalingReport(
                         klass, False,
                         (_decode(xi, p, N), _decode(yi, p, N), j - m, got),
@@ -113,6 +152,7 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
         return ScalingReport(klass, True, None, pairs, mode)
 
     mode = "stratified"
+    pairs = 0
     rng = random.Random(seed)
     for j in strata:
         for _ in range(per_stratum):
@@ -122,9 +162,13 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
             hi = rng.randrange(p ** (N - j - 1)) if N - j - 1 > 0 else 0
             yi = xi % p**j + yj * p**j + hi * p ** (j + 1)
             pairs += 1
-            bad = check_pair(xi, yi, j)
-            if bad is not None:
-                return ScalingReport(klass, False, bad, pairs, mode)
+            fx = f(ZpApprox.from_int(xi, p, N))
+            fy = f(ZpApprox.from_int(yi, p, N))
+            got = _scaling_miss(fx.value, fx.precision, fy.value, fy.precision, p, j - m)
+            if got is not None:
+                return ScalingReport(
+                    klass, False, (_decode(xi, p, N), _decode(yi, p, N), j - m, got),
+                    pairs, mode)
     return ScalingReport(klass, True, None, pairs, mode)
 
 
@@ -168,6 +212,7 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
 
     if p**N <= exhaustive_limit:
         mode = "exhaustive"
+        _check_budget(p**N * (p**N - 1) // 2, "the exhaustive expansivity pairs")
         points = [ZpApprox.from_int(i, p, N) for i in range(p**N)]
         pair_list = [(a, b) for a in range(len(points)) for b in range(a + 1, len(points))]
     else:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicdyn.analysis import (
     ScalingClass,
@@ -13,9 +15,10 @@ from padicdyn.analysis import (
     shadowing_modulus_bound,
     verify_scaling,
 )
-from padicdyn.core import PrecisionError, ZpApprox, distance
+from padicdyn.core import PNorm, PrecisionError, ZpApprox, distance
 from padicdyn.maps import (
     ENTRY_BUDGET,
+    AffineZp,
     DepthExhausted,
     DigitFunctionTable,
     Prime,
@@ -34,31 +37,122 @@ from padicdyn.oracle import (
 )
 
 
+def _strata_pairs(p, k, m, N):
+    """Unordered pairs of N-digit residues at distance p^-j, k <= j < N-m."""
+    return sum(p**N * (p - 1) * p ** (N - j - 1) // 2 for j in range(k, N - m))
+
+
 def test_verify_scaling_shift_exhaustive():
     report = verify_scaling(ShiftPower(Prime(2), 1), ScalingClass(1, 1), 8)
     assert report.verified and report.mode == "exhaustive"
+    assert report.pairs_checked == _strata_pairs(2, 1, 1, 8) == 16128
     report = verify_scaling(ShiftPower(Prime(2), 2), ScalingClass(2, 2), 8)
     assert report.verified
+    assert report.pairs_checked == _strata_pairs(2, 2, 2, 8) == 7680
 
 
 def test_verify_scaling_tj():
     report = verify_scaling(Tj(Prime(2), 1, 1), ScalingClass(2, 1), 8)
     assert report.verified
+    assert report.pairs_checked == _strata_pairs(2, 2, 1, 8) == 7936
     report = verify_scaling(Tj(Prime(3), 1, 2), ScalingClass(3, 1), 6)
     assert report.verified
+    assert report.pairs_checked == _strata_pairs(3, 3, 1, 6) == 8748
 
 
 def test_verify_scaling_wrong_class_gives_witness():
     # S^2 claimed as (1,1): pairs at distance 2^-1 contract by 2^-2, not 2^-1
     report = verify_scaling(ShiftPower(Prime(2), 2), ScalingClass(1, 1), 8)
     assert not report.verified
+    # the first pair in (x, y) order already fails
+    assert report.pairs_checked == 1
     x, y, expected, got = report.witness
-    # the witness reproduces: recompute the distances directly
+    # the witness pair lies in the stratum it was checked at ...
+    assert distance(ZpApprox(2, x), ZpApprox(2, y)) == PNorm(expected + 1)
+    # ... and reproduces: recompute the image distance directly
     s = ShiftPower(Prime(2), 2)
     d = distance(s.apply(ZpApprox(2, x)), s.apply(ZpApprox(2, y)))
-    assert d != got or d.exponent != expected or True
     assert d == got
     assert not (got.exact and got.exponent == expected)
+
+
+def _pair_loop_scaling(f, p, k, m, N):
+    """Reference: every pair of N-digit inputs at distance p^-j, j in
+    [k, N-m), in (x, y) order, until the first whose images are not at
+    distance exactly p^-(j-m).  Returns (verified, pairs, witness)."""
+    points = [ZpApprox.from_int(x, p, N) for x in range(p**N)]
+    images = [f.apply(x) for x in points]
+    pairs = 0
+    for a in range(p**N):
+        for b in range(a + 1, p**N):
+            j = distance(points[a], points[b]).exponent
+            if not k <= j < N - m:
+                continue
+            pairs += 1
+            got = distance(images[a], images[b])
+            if not (got.exact and got.exponent == j - m):
+                return False, pairs, (points[a].digits, points[b].digits, j - m, got)
+    return True, pairs, None
+
+
+@st.composite
+def _scaling_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    top = {2: 8, 3: 5, 5: 3}[p]  # p^N <= 256 keeps the reference loop quick
+    prime = Prime(p)
+    kind = draw(st.sampled_from(["table"] * 3 + ["affine", "shift", "tj", "rmap"]))
+    if kind == "table":
+        k = draw(st.integers(1, min(3, top - 1)))
+        klass = ScalingClass(k, draw(st.integers(1, k)))
+        f = random_table(random.Random(draw(st.integers(0, 2**32 - 1))), p, klass,
+                         draw(st.integers(max(klass.l, 1), klass.l + 4)),
+                         tail_projection=draw(st.booleans()))
+    elif kind == "affine":
+        # a non-unit or zero a; a short a or b gives mixed output precisions
+        na, nb = draw(st.integers(1, top + 1)), draw(st.integers(1, top + 1))
+        a = p ** draw(st.integers(1, na)) * draw(st.integers(0, p**na))
+        f = AffineZp(ZpApprox.from_int(a, p, na),
+                     ZpApprox.from_int(draw(st.integers(0, p**nb)), p, nb))
+    elif kind == "shift":
+        f = ShiftPower(prime, draw(st.integers(1, 2)))
+    elif kind == "tj":
+        f = Tj(prime, draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+    else:
+        f = Rmap(prime, draw(st.integers(1, 2)))
+    # a table map needs more than k input digits to give an output digit
+    least = f.klass.k + 1 if kind == "table" else 1
+    klass = f.klass
+    if klass is None or draw(st.booleans()):  # a claim that may be wrong
+        k = draw(st.integers(1, top - 2))
+        klass = ScalingClass(k, draw(st.integers(1, min(k, top - 1 - k))))
+    if klass.k + klass.m + 1 > top:
+        klass = ScalingClass(1, 1)
+    return f, klass, draw(st.integers(max(klass.k + klass.m + 1, least), top))
+
+
+def _bits(f, arity):
+    return tuple(f(*((idx >> t) & 1 for t in range(arity))) for idx in range(2**arity))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaling_cases())
+# (3,1) claimed as (2,1): digit 1 splits every class mod 4, but digit 0
+# does too, so images at distance 2^-2 do not agree mod 2
+@example((DigitFunctionTable(2, ScalingClass(3, 1), (_bits(lambda a, b, c: c, 3),) * 2,
+                             tail_projection=True), ScalingClass(2, 1), 6))
+# (2,2) claimed as (1,1): digit 0 = x1 xor x2 splits each class mod 2 on the
+# inputs below 4, but it is not a function of x mod 4
+@example((DigitFunctionTable(2, ScalingClass(2, 2), (_bits(lambda a, b, c: b ^ c, 3),),
+                             tail_projection=True), ScalingClass(1, 1), 3))
+def test_verify_scaling_matches_pair_loop(case):
+    f, klass, N = case
+    p = int(f.prime)
+    report = verify_scaling(f, klass, N)
+    assert report.mode == "exhaustive"
+    assert (report.verified, report.pairs_checked, report.witness) == \
+        _pair_loop_scaling(f, p, klass.k, klass.m, N)
+    if report.verified:
+        assert report.pairs_checked == _strata_pairs(p, klass.k, klass.m, N)
 
 
 def test_verify_scaling_stratified_mode():
@@ -92,6 +186,20 @@ def test_expansivity_random_table():
     table = random_table(rng, 2, ScalingClass(2, 1), 8)
     report = expansivity_check(table, 2, horizon=6, precision=8)
     assert report.all_separated
+
+
+def test_expansivity_budget_counts_exhaustive_pairs():
+    # 2^11 points fit a raised exhaustive limit, but their 2^10 (2^11 - 1)
+    # pairs do not fit the entry budget; no point is evaluated
+    class NeverEvaluated:
+        prime = Prime(2)
+        apply = staticmethod(_refuse)
+
+    N = 11
+    assert 2**N * (2**N - 1) // 2 > ENTRY_BUDGET
+    with pytest.raises(PrecisionError, match="over the budget"):
+        expansivity_check(NeverEvaluated(), 1, horizon=1, precision=N,
+                          exhaustive_limit=2**N)
 
 
 def test_expansivity_undecided_reported():

@@ -267,6 +267,15 @@ def test_certify_contraction_factor():
     comp = Compose((Substitution(p, ((0,), (1,), (2,))),
                     AffineZp(ZpApprox.from_int(9, p, n), ZpApprox.from_int(0, p, n))))
     assert certify_contraction_factor(comp, 2) == "structural:composition"
+    # a = 0 mod 3^6 is only known as ||a|| <= 3^-6, a bound both rules accept
+    zero = AffineZp(ZpApprox.from_int(0, p, 6), ZpApprox.from_int(0, p, 6))
+    assert certify_contraction_factor(zero, 2) == "structural:affine"
+    assert certify_contraction_factor(Compose((zero,)), 2) == "structural:composition"
+    # and a bound too weak for the exponent is refused by both
+    short = AffineZp(ZpApprox.from_int(0, p, 1), ZpApprox.from_int(0, p, 6))
+    for psi in (short, Compose((short,))):
+        with pytest.raises(CertificationError):
+            certify_contraction_factor(psi, 2)
 
 
 # -------------------------------------------------------------- qp affine
