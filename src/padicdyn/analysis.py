@@ -28,7 +28,6 @@ from .core import PadicError, PNorm, PrecisionError, ZpApprox, _val, distance
 from .maps import (
     DepthExhausted,
     DigitFunctionTable,
-    IterateTable,
     MapSpec,
     ScalingClass,
     _check_budget,
@@ -272,12 +271,6 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
     )
 
 
-def closed_form_fixed_points(spec: MapSpec, iterate_n: int = 1) -> int | None:
-    """The spec's closed-form count: p^(mn) for S^m, p^(m+j) for T_j and
-    p^(m-1)(p-1) + p^(m+1) for R (n = 1 only for T_j and R), else None."""
-    return spec.closed_form(iterate_n)
-
-
 @dataclass(frozen=True)
 class FixedPointReport:
     map_id: str
@@ -306,8 +299,6 @@ class FixedPointReport:
 def _resolve_table(map_like, depth_hint: int):
     if isinstance(map_like, DigitFunctionTable):
         return map_like, repr(map_like.klass), None
-    if isinstance(map_like, IterateTable):
-        return map_like.table, f"iterate({map_like.n})", None
     if isinstance(map_like, MapSpec):
         return (table_from_spec(map_like, depth=depth_hint),
                 map_like.__class__.__name__, map_like)
@@ -364,8 +355,7 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
         count=len(seeds),
         seeds=tuple(seeds),
         points=tuple(points),
-        closed_form=(closed_form_fixed_points(spec, iterate_n=n)
-                     if spec is not None else None),
+        closed_form=spec.closed_form(n) if spec is not None else None,
     )
 
 

@@ -16,9 +16,9 @@ as p^arity -- while the extended family is still exactly locally scaling.
 
 Every map object -- the map specifications (:class:`ShiftPower`,
 :class:`Tj`, :class:`Rmap`, affine maps, substitutions, tables, Mahler
-series, compositions), :class:`DigitFunctionTable` and
-:class:`IterateTable` -- answers to ``prime`` and ``apply(x)``: the result
-carries exactly the digits determined by the input, computed per variant.
+series, compositions) and :class:`DigitFunctionTable` -- answers to
+``prime`` and ``apply(x)``: the result carries exactly the digits
+determined by the input, computed per variant.
 Each spec class states the facts its definition proves (see :class:`MapSpec`).
 Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
 """
@@ -248,9 +248,10 @@ def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,
     """A uniformly random valid table: arbitrary heads, a random permutation of
     the alphabet per prefix for every tail function."""
     p = Prime(prime)
+    arities = [klass.k if i < klass.l else klass.k - klass.l + i + 1 for i in range(depth)]
+    _check_budget(sum(p**a for a in arities), "a random table")
     tables = []
-    for i in range(depth):
-        a = klass.k if i < klass.l else klass.k - klass.l + i + 1
+    for i, a in enumerate(arities):
         if i < klass.l:
             tables.append(tuple(rng.randrange(p) for _ in range(p**a)))
         else:
@@ -264,17 +265,6 @@ def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,
     return DigitFunctionTable(p, klass, tuple(tables), tail_projection=tail_projection)
 
 
-def materialize_table(table: DigitFunctionTable, depth: int) -> DigitFunctionTable:
-    """Densify a table's digit functions up to the given depth."""
-    p = table.prime
-    tables = []
-    for i in range(depth):
-        a = table.arity(i)
-        tables.append(tuple(table.digit_value(i, idx) for idx in range(p**a)))
-    return DigitFunctionTable(p, table.klass, tuple(tables),
-                              tail_projection=table.tail_projection)
-
-
 def perturb_table(rng, base: DigitFunctionTable, first_digit: int, depth: int) -> DigitFunctionTable:
     """Replace the digit functions at indices >= first_digit by random ones.
 
@@ -284,11 +274,15 @@ def perturb_table(rng, base: DigitFunctionTable, first_digit: int, depth: int) -
     """
     if first_digit < base.klass.l:
         raise ValueError("cannot perturb head digit functions below l")
-    dense = materialize_table(base, first_digit)
-    rand = random_table(rng, base.prime, base.klass, depth,
-                        tail_projection=base.tail_projection)
-    tables = dense.tables + rand.tables[first_digit:depth]
-    return DigitFunctionTable(base.prime, base.klass, tables,
+    p = base.prime
+    # stored rows are kept as they are; only projection digits are densified
+    dense = range(base.stored_depth, first_digit)
+    _check_budget(sum(p**base.arity(i) for i in dense), "the densified projection digits")
+    kept = base.tables[:first_digit] + tuple(
+        tuple(base.digit_value(i, idx) for idx in range(p**base.arity(i))) for i in dense)
+    rand = random_table(rng, p, base.klass, depth, tail_projection=base.tail_projection)
+    tables = kept + rand.tables[first_digit:depth]
+    return DigitFunctionTable(p, base.klass, tables,
                               tail_projection=base.tail_projection)
 
 
@@ -302,9 +296,9 @@ def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
     if f.klass != g.klass:
         raise ValueError(f"tables of classes {f.klass} and {g.klass}")
     p = f.prime
+    _check_budget(sum(p**f.arity(i) for i in range(depth)), "the sup-distance comparison")
     for i in range(depth):
-        a = f.arity(i)
-        for idx in range(p**a):
+        for idx in range(p**f.arity(i)):
             if f.digit_value(i, idx) != g.digit_value(i, idx):
                 return i
     return None
@@ -829,70 +823,6 @@ def extract_table(spec: MapSpec, klass: ScalingClass, depth: int, *,
                     bad = next(t for t in range(len(got)) if got[t] != predicted[t])
                     raise InconsistentScaling(bad, digs, padding)
     return table
-
-
-@dataclass(frozen=True)
-class IterateTable:
-    """Realized digit functions of the n-th iterate of a table map.
-
-    The iterate of a (p^-k, p^m) map is (p^-(nm+l), p^(nm)) locally scaling
-    with the same head count l; ``table`` holds its digit functions.
-    """
-
-    base: DigitFunctionTable
-    n: int
-    table: DigitFunctionTable
-
-    @property
-    def prime(self) -> Prime:
-        return self.table.prime
-
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        return self.table.apply(x)
-
-
-def iterate_table(base: DigitFunctionTable, n: int, depth: int) -> IterateTable:
-    """Materialize the digit functions of the n-th iterate.
-
-    Built level by level: the digit functions of f^(j+1) are the base
-    functions applied to the realized functions of f^j, evaluated on exactly
-    the digits the composed arity provides.  Bijectivity on the last variable
-    is re-verified by construction of each level's table.
-    """
-    if n < 1:
-        raise ValueError("iterate count must be >= 1")
-    k, m, l = base.klass.k, base.klass.m, base.klass.l
-    p = base.prime
-    cur = base
-    for step in range(2, n + 1):
-        K = step * m + l
-        want = depth + (n - step) * m
-        if base.tail_projection and want >= base.stored_depth:
-            # the composed tail is a projection exactly where the base tail is
-            stored, proj = max(base.stored_depth, l), True
-        else:
-            stored, proj = want, False
-            if not base.tail_projection and base.stored_depth < stored:
-                raise DepthExhausted(
-                    f"base depth {base.stored_depth} cannot support iterate depth {depth}"
-                )
-        tables = []
-        for i in range(stored):
-            a = K if i < l else K - l + i + 1
-            base_arity = k if i < l else k - l + i + 1
-            entries = []
-            for idx in range(p**a):
-                z = cur.apply(ZpApprox._of(p, a, idx))
-                if z.precision < base_arity:
-                    raise DepthExhausted(
-                        f"iterate level {step} needs {base_arity} digits of the previous "
-                        f"level, got {z.precision}"
-                    )
-                entries.append(base.digit_value(i, z.value % p**base_arity))
-            tables.append(tuple(entries))
-        cur = DigitFunctionTable(p, ScalingClass(K, step * m), tuple(tables),
-                                 tail_projection=proj)
-    return IterateTable(base, n, cur)
 
 
 def iterate(map_like, n: int, x: ZpApprox) -> ZpApprox:

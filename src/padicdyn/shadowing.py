@@ -38,7 +38,7 @@ Solvers:
 Both Q_p solvers verify their point with one two-sided check: forward
 through f, backward through f^-1, every distance against the orbit's
 certified delta.  Maps are evaluated only through ``prime`` and
-``apply``, which tables, iterate tables and specs all provide.
+``apply``, which tables and specs both provide.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from padicdyn.analysis import (
     ScalingClass,
-    closed_form_fixed_points,
     expansivity_check,
     fixed_points,
     periodic_points,
@@ -26,7 +25,6 @@ from padicdyn.maps import (
     ShiftPower,
     Tj,
     iterate,
-    iterate_table,
     random_table,
     table_from_spec,
 )
@@ -35,6 +33,8 @@ from padicdyn.oracle import (
     brute_periodic_point_count,
     brute_shadow_points,
 )
+
+from dense_reference import fixed_seeds, iterate_table
 
 
 def _strata_pairs(p, k, m, N):
@@ -310,11 +310,13 @@ def test_periodic_points_match_dense_iterate_table():
             table = random_table(rng, p, klass, klass.l + 2)
             for n in (2, 3):
                 report = periodic_points(table, n, precision=P)
-                dense = fixed_points(
-                    iterate_table(table, n, max(klass.l + 1, P - n * m)), precision=P)
+                it = iterate_table(table, n, max(klass.l + 1, P - n * m))
+                dense = fixed_points(it, precision=P)
                 assert (report.count, report.seeds, report.points) == (
                     dense.count, dense.seeds, dense.points), (p, k, m, n)
                 assert report.klass == dense.klass
+                # the seeds also follow from the dense head functions alone
+                assert report.seeds == fixed_seeds(it), (p, k, m, n)
 
 
 def test_periodic_points_stop_at_table_depth():
@@ -378,10 +380,10 @@ def test_modulus_consistent_with_solver():
 
 
 def test_closed_forms():
-    assert closed_form_fixed_points(ShiftPower(Prime(5), 2)) == 25
-    assert closed_form_fixed_points(Tj(Prime(2), 1, 3)) == 16
-    assert closed_form_fixed_points(Rmap(Prime(3), 1)) == 2 + 9
-    assert closed_form_fixed_points(ShiftPower(Prime(2), 1), iterate_n=3) == 8
+    assert ShiftPower(Prime(5), 2).closed_form(1) == 25
+    assert Tj(Prime(2), 1, 3).closed_form(1) == 16
+    assert Rmap(Prime(3), 1).closed_form(1) == 2 + 9
+    assert ShiftPower(Prime(2), 1).closed_form(3) == 8
 
 
 def test_fixed_point_report_dict_shape():

@@ -292,14 +292,17 @@ def test_exit_codes(specs, capsys, tmp_path):
                      "--samples", "-1"]):
         assert main(command) == 3, command
         capsys.readouterr()
-    # precondition: a table or seed enumeration over the entry budget, refused
-    # before it starts (a prime near 10^18 makes p^arity astronomical)
+    # precondition: a table, seed or sup-distance enumeration over the entry
+    # budget, refused before it starts (a prime near 10^18 makes p^arity
+    # astronomical; --s 30 compares 2^32 entries of the p = 2 shift)
     huge_shift, huge_tj = tmp_path / "huge_shift.json", tmp_path / "huge_tj.json"
     huge_shift.write_text('{"type":"shift_power","p":1000000000000000003,"m":1}')
     huge_tj.write_text('{"type":"tj","p":1000000000000000003,"m":1,"j":1}')
     for command in (["fixed-points", "--map", str(huge_shift)],
                     ["validate", "--map", str(huge_shift)],
-                    ["fixed-points", "--map", str(huge_tj)]):
+                    ["fixed-points", "--map", str(huge_tj)],
+                    ["conjugate", "--map", str(shift_path), "--constructor", "nearby",
+                     "--other", str(shift_path), "--s", "30"]):
         assert main(command) == 3, command
         assert "over the budget" in capsys.readouterr().err
     # precondition: a brute force over 2^40 residues, and 2^19 seeds of period

@@ -17,6 +17,7 @@ from padicdyn.core import (
     distance,
 )
 from padicdyn.maps import (
+    ENTRY_BUDGET,
     AffineQp,
     AffineZp,
     BijectivityViolation,
@@ -36,14 +37,16 @@ from padicdyn.maps import (
     dumps_spec,
     extract_table,
     iterate,
-    iterate_table,
     loads_spec,
     mahler_coefficients,
+    perturb_table,
     random_table,
     table_from_spec,
     table_sup_distance_exponent,
 )
 from padicdyn.oracle import brute_fixed_point_count
+
+from dense_reference import iterate_table
 
 
 def rand_point(rng, p, n):
@@ -255,11 +258,11 @@ def test_iterate_table_matches_double_eval_exhaustive():
     rng = random.Random(13)
     base = random_table(rng, 2, ScalingClass(2, 1), 6)
     it = iterate_table(base, 2, 6)
-    assert it.table.klass == ScalingClass(3, 2)
+    assert it.klass == ScalingClass(3, 2)
     n = 2 * 1 + 1 + 6  # n(k-l) + l + depth
     for idx in range(2**n):
         x = ZpApprox(2, _decode(idx, 2, n))
-        got = it.table.apply(x)
+        got = it.apply(x)
         want = base.apply(base.apply(x))
         assert got.digits == want.digits[: got.precision]
 
@@ -275,9 +278,9 @@ def test_every_map_answers_to_prime_and_apply():
         for idx in range(p**5):
             x = ZpApprox(p, _decode(idx, p, 5))
             assert len({v.apply(x).digits for v in views}) == 1
-    # analysis and the oracles take an iterate table as a map
+    # analysis and the oracles take an iterate's table as a map
     it = iterate_table(table_from_spec(ShiftPower(Prime(2), 1)), 2, 6)
-    assert verify_scaling(it, it.table.klass, 7).verified
+    assert verify_scaling(it, it.klass, 7).verified
     assert expansivity_check(it, 2, horizon=4, precision=6).all_separated
     assert brute_fixed_point_count(it, 2, 6) == fixed_points(it).count == 4
 
@@ -293,9 +296,10 @@ def test_iterate_composition_law():
 
 
 def test_iterate_table_depth_guard():
+    # the dense reference refuses a base too shallow for the iterate's depth
     rng = random.Random(19)
     base = random_table(rng, 2, ScalingClass(1, 1), 3, tail_projection=False)
-    with pytest.raises(DepthExhausted):
+    with pytest.raises(DepthExhausted, match="cannot support iterate depth"):
         iterate_table(base, 3, 4)
 
 
@@ -401,11 +405,30 @@ def test_table_sup_distance():
     rng = random.Random(37)
     base = table_from_spec(ShiftPower(Prime(2), 2))
     assert table_sup_distance_exponent(base, base, 6) is None
-    from padicdyn.maps import perturb_table
-
     g = perturb_table(rng, base, first_digit=2, depth=6)
     i0 = table_sup_distance_exponent(base, g, 6)
     assert i0 is not None and i0 >= 2
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("enumeration started before the budget check")
+
+
+def test_table_builders_refuse_over_budget(monkeypatch):
+    # sum_{i<30} 2^arity(i) entries is far over the budget: each builder
+    # refuses before its first rng draw and its first digit read
+    shift = table_from_spec(ShiftPower(Prime(2), 1))
+    depth = 30
+    assert sum(2**shift.arity(i) for i in range(depth)) > ENTRY_BUDGET
+    rng = random.Random(5)
+    state = rng.getstate()
+    monkeypatch.setattr(DigitFunctionTable, "digit_value", _refuse)
+    for call in (lambda: random_table(rng, 2, shift.klass, depth),
+                 lambda: perturb_table(rng, shift, first_digit=depth, depth=depth + 1),
+                 lambda: table_sup_distance_exponent(shift, shift, depth)):
+        with pytest.raises(PrecisionError, match="over the budget"):
+            call()
+        assert rng.getstate() == state
 
 
 def test_eval_domain_mismatch():
