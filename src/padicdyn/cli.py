@@ -28,6 +28,7 @@ from .analysis import (
 )
 from .conjugacy import (
     affine_shell_conjugacy_map,
+    check_horizon_digits,
     nearby_conjugacy,
     qp_affine_conjugacy_map,
     shift_conjugacy,
@@ -218,6 +219,11 @@ def _sample_points(spec: MapSpec, n: int, precision: int, seed: int):
 def cmd_conjugate(args) -> dict:
     spec = _load_map(args.map)
     p = int(spec.prime)
+    if args.points:
+        points = [parse_value(t.strip(), spec.domain)
+                  for t in args.points.split(";") if t.strip()]
+    else:
+        points = _sample_points(spec, args.samples, args.precision, args.seed or 0)
     constructor = args.constructor
     if constructor == "to-shift":
         table = table_from_spec(spec, depth=args.depth)
@@ -231,6 +237,9 @@ def cmd_conjugate(args) -> dict:
         other = _load_map(args.other)
         f_t = table_from_spec(spec, depth=args.depth)
         g_t = table_from_spec(other, depth=args.depth)
+        # refuse short points before the sup-distance comparison, not after
+        for x in points:
+            check_horizon_digits(f_t.klass, args.horizon, args.s, x)
         cm = nearby_conjugacy(f_t, g_t, args.horizon, args.s)
         f_map, g_map = f_t, g_t
     elif constructor == "affine-shell":
@@ -260,13 +269,6 @@ def cmd_conjugate(args) -> dict:
         g_map = spec
     else:
         raise _ParseFailure(f"unknown constructor {constructor}")
-
-    if args.points:
-        points = [parse_value(t.strip(), "qp" if spec.domain == "qp" else "zp")
-                  for t in args.points.split(";") if t.strip()]
-    else:
-        points = _sample_points(g_map if isinstance(g_map, MapSpec) else spec,
-                                args.samples, args.precision, args.seed or 0)
     report = verify_conjugacy(cm, f_map, g_map, points)
     out = {
         "command": "conjugate",
@@ -299,8 +301,7 @@ def cmd_mahler(args) -> dict:
 
 def cmd_orbit(args) -> dict:
     spec = _load_map(args.map)
-    domain = "qp" if spec.domain == "qp" else "zp"
-    start = parse_value(args.start, domain)
+    start = parse_value(args.start, spec.domain)
     if args.two_sided:
         orbit = perturb_orbit_two_sided(
             spec, start, args.delta_exp, args.back, args.steps, args.seed)

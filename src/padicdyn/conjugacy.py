@@ -139,6 +139,17 @@ def shift_conjugacy(table: DigitFunctionTable) -> ConjugacyMap:
     )
 
 
+def check_horizon_digits(klass, horizon: int, s: int, x) -> None:
+    """Refuse x unless it has the k + s + horizon*m digits that h(x) reads
+    for a class (k, m) map: the orbit points' k+s digits through the horizon."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    need = klass.k + s + horizon * klass.m
+    if x.precision < need:
+        raise PrecisionError(
+            f"horizon {horizon} needs {need} digits of x, got {x.precision}")
+
+
 def conjugate_nearby(f_table: DigitFunctionTable, g_map, x: ZpApprox,
                      horizon: int, s: int = 0) -> ZpApprox:
     """h(x): the f-shadow of the g-orbit of x.
@@ -148,13 +159,7 @@ def conjugate_nearby(f_table: DigitFunctionTable, g_map, x: ZpApprox,
     produces the unique shadow.  The returned value carries exactly the
     digits the horizon determines (k + s + horizon*m of them).
     """
-    k, m = f_table.klass.k, f_table.klass.m
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    need = k + s + horizon * m
-    if x.precision < need:
-        raise PrecisionError(
-            f"horizon {horizon} needs {need} digits of x, got {x.precision}")
+    check_horizon_digits(f_table.klass, horizon, s, x)
     points = [x]
     for _ in range(horizon):
         points.append(g_map.apply(points[-1]))

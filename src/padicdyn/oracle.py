@@ -8,7 +8,7 @@ enumeration over ``maps.ENTRY_BUDGET`` residues is refused before it starts.
 
 from __future__ import annotations
 
-from .core import PadicError, ZpApprox
+from .core import ZpApprox
 from .maps import _check_budget, _decode
 
 
@@ -19,15 +19,7 @@ def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
     solution of this congruence (the tail digits are forced), so the count
     is the exact fixed-point count whenever N >= k.
     """
-    p = prime
-    _check_budget(p**precision, "the brute-force fixed-point count")
-    count = 0
-    for xi in range(p**precision):
-        x = ZpApprox(p, _decode(xi, p, precision))
-        y = map_like.apply(x)
-        if y.digits == x.digits[: y.precision]:
-            count += 1
-    return count
+    return brute_periodic_point_count(map_like, prime, 1, precision)
 
 
 def brute_periodic_point_count(map_like, prime: int, n: int, precision: int) -> int:
@@ -38,11 +30,8 @@ def brute_periodic_point_count(map_like, prime: int, n: int, precision: int) -> 
     for xi in range(p**precision):
         x = ZpApprox(p, _decode(xi, p, precision))
         y = x
-        try:
-            for _ in range(n):
-                y = map_like.apply(y)
-        except PadicError:
-            raise PadicError(f"precision {precision} too small for {n} applications")
+        for _ in range(n):
+            y = map_like.apply(y)
         if y.digits == x.digits[: y.precision]:
             count += 1
     return count

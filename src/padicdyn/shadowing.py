@@ -35,10 +35,10 @@ Solvers:
   from the zero sequence; each sweep contracts corrections by p^-k, and
   the fixed point's 0-entry corrects x_0 into a true orbit.
 
-Both Q_p solvers verify their point with one two-sided check: forward
-through f, backward through f^-1, every distance against the orbit's
-certified delta.  Maps are evaluated only through ``prime`` and
-``apply``, which tables and specs both provide.
+Every solver verifies its point with one two-sided check, ``_certified``:
+forward through f, backward through f^-1, every distance against the
+solver's bound as it is computed.  Maps are evaluated only through
+``prime`` and ``apply``, which tables and specs both provide.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ class PseudoOrbit:
 
     ``points[i]`` is x_{start_index + i}; ``residuals[i]`` is
     w_{start_index + i} = x_{start_index + i + 1} - f(x_{start_index + i}).
+    The orbit always holds x_0: start_index <= 0 <= end_index.
     """
 
     points: tuple
@@ -94,6 +95,9 @@ class PseudoOrbit:
             raise ValueError("a pseudo-orbit needs at least two points")
         if len(self.residuals) != len(self.points) - 1:
             raise ValueError("need exactly one residual per step")
+        if not self.start_index <= 0 <= self.end_index:
+            raise ValueError(
+                f"the orbit must hold x_0: indices {self.start_index}..{self.end_index}")
 
     @classmethod
     def from_map(cls, map_like, points, start_index: int = 0) -> "PseudoOrbit":
@@ -213,6 +217,34 @@ class ShadowResult:
         return self.start_index + len(self.step_distances) - 1
 
 
+def _certified(f, f_inv, point, orbit: PseudoOrbit, bound: int, solver: str,
+               details: dict, error: type) -> ShadowResult:
+    """The one check every shadow result passes: d(x_n, f^n(point)) for each
+    index n of the orbit, forward through ``f`` for n = 0..end_index and
+    backward through ``f_inv`` for n = -1..start_index (a one-sided orbit
+    never reads it), each against p^-bound as it is computed.
+
+    Raises ``error`` at the first distance certifiably above p^-bound, before
+    any later step is evaluated; a ``PadicError`` is marked internal.
+    """
+    p = orbit.prime
+    dists = {}
+    for g, steps in ((f, range(orbit.end_index + 1)),
+                     (f_inv, range(-1, orbit.start_index - 1, -1))):
+        cur = point
+        for n in steps:
+            if n:
+                cur = g.apply(cur)
+            d = dists[n] = distance(orbit.point(n), cur)
+            if d.gt_pow(bound):
+                internal = "internal: " if error is PadicError else ""
+                raise error(f"{internal}{solver} shadow violates {p}^-{bound} "
+                            f"at step {n}: {d.describe(p)}")
+    ordered = tuple(dists[n] for n in range(orbit.start_index, orbit.end_index + 1))
+    return ShadowResult(point, pnorm_max(ordered), ordered, orbit.start_index,
+                        solver, details)
+
+
 def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
                       digit_index: int, target: int) -> None:
     """Append to ``levels[0]`` the one digit that makes digit ``digit_index``
@@ -265,7 +297,7 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
     at epsilon = p^-(k+s) over the whole orbit.
     """
     if orbit.two_sided:
-        raise PadicError("the locally scaling solver is one-sided; got a two-sided orbit")
+        raise PrecisionError("the locally scaling solver is one-sided; got a two-sided orbit")
     if s < 0:
         raise ValueError("s must be >= 0")
     k, l = table.klass.k, table.klass.l
@@ -304,26 +336,13 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
                 f"{levels[0][1]} digits, expected {(n + 1) * k - n * l + s}"
             )
 
+    # every distance compares at least k+s digits: each x_n has them, and
+    # f^n(y) keeps (T+1)k - Tl + s - n(k-l) >= k+s, so no bound reads above
+    # p^-(k+s) and gt_pow(k+s) is exactly "not leq_pow(k+s)"
     y = ZpApprox._of(p, levels[0][1], levels[0][0])
-    dists = []
-    cur = y
-    for n in range(T + 1):
-        d = distance(orbit.points[n], cur)
-        if not d.leq_pow(k + s):
-            raise PadicError(
-                f"internal: solved shadow violates epsilon at step {n}: "
-                f"{d.describe(p)}")
-        dists.append(d)
-        if n < T:
-            cur = table.apply(cur)
-    return ShadowResult(
-        point=y,
-        epsilon=pnorm_max(dists),
-        step_distances=tuple(dists),
-        start_index=0,
-        solver="locally-scaling",
-        details={"s": s, "epsilon_exponent": k + s, "delta_exponent": delta_exp},
-    )
+    return _certified(
+        table, None, y, orbit, k + s, "locally-scaling",
+        {"s": s, "epsilon_exponent": k + s, "delta_exponent": delta_exp}, PadicError)
 
 
 def certify_one_lipschitz(map_like, *, samples: int = 256, precision: int = 10,
@@ -367,35 +386,17 @@ def shadow_lipschitz(map_like, orbit: PseudoOrbit, *,
 
     The induction ||x_{n+1} - f^{n+1}(x_0)|| <= max_i ||w_i|| is re-verified
     step by step; a certified violation means the Lipschitz certificate was
-    wrong and is raised with the witness step.
+    wrong and is raised as :class:`CertificationError` at the witness step.
     """
     if orbit.two_sided:
-        raise PadicError("the Lipschitz shadow is one-sided; got a two-sided orbit")
+        raise PrecisionError("the Lipschitz shadow is one-sided; got a two-sided orbit")
     if certification is None:
         certification = certify_one_lipschitz(map_like)
-    p = orbit.prime
     delta = orbit.certified_delta
-    y = orbit.points[0]
-    cur = y
-    dists = []
-    for n in range(len(orbit.points)):
-        d = distance(orbit.points[n], cur)
-        if d.gt_pow(delta.exponent):
-            raise CertificationError(
-                f"step {n} distance {d.describe(p)} exceeds certified delta "
-                f"{delta.describe(p)}: the 1-Lipschitz certificate was wrong")
-        dists.append(d)
-        if n < len(orbit.points) - 1:
-            cur = map_like.apply(cur)
-    return ShadowResult(
-        point=y,
-        epsilon=pnorm_max(dists),
-        step_distances=tuple(dists),
-        start_index=0,
-        solver="lipschitz",
-        details={"certification": certification,
-                 "delta": delta.describe(p)},
-    )
+    return _certified(
+        map_like, None, orbit.points[0], orbit, delta.exponent, "lipschitz",
+        {"certification": certification, "delta": delta.describe(orbit.prime)},
+        CertificationError)
 
 
 def shadow_affine_qp(a: QpApprox, b: QpApprox, orbit: PseudoOrbit) -> ShadowResult:
@@ -408,67 +409,27 @@ def shadow_affine_qp(a: QpApprox, b: QpApprox, orbit: PseudoOrbit) -> ShadowResu
     both directions, matching the sup-of-residuals estimate.
     """
     spec = AffineQp(a, b)
-    p = spec.prime
     va = a.normalize().valuation_offset
-    x0 = orbit.point(0)
-    fwd_last = orbit.end_index
-    bwd_first = orbit.start_index
-
+    x = orbit.point(0)
     if va < 0:
         branch = "series"
         a_inv = inverse_unit(a)
         power = a_inv
-        x = x0
-        for j in range(0, fwd_last):
+        for j in range(orbit.end_index):
             x = x + power * orbit.residual(j)
             power = power * a_inv
     elif va > 0:
         branch = "mirror"
-        x = x0
         power = None
-        for i in range(1, -bwd_first + 1):
+        for i in range(1, 1 - orbit.start_index):
             w = orbit.residual(-i)
-            term = w if power is None else power * w
-            x = x - term
+            x = x - (w if power is None else power * w)
             power = a if power is None else power * a
     else:
         branch = "isometry"
-        x = x0
-
     delta = orbit.certified_delta
-    ordered = _two_sided_distances(spec, spec.inverse_spec(), x, orbit, "affine-qp")
-    return ShadowResult(
-        point=x,
-        epsilon=pnorm_max(ordered),
-        step_distances=ordered,
-        start_index=bwd_first,
-        solver="affine-qp",
-        details={"branch": branch, "delta": delta.describe(p)},
-    )
-
-
-def _two_sided_distances(f: MapSpec, f_inv: MapSpec, point, orbit: PseudoOrbit,
-                         solver: str) -> tuple:
-    """d(x_n, f^n(point)) for every index n of the orbit, through f forward
-    and f^-1 backward, each verified <= the orbit's certified delta."""
-    p = orbit.prime
-    delta = orbit.certified_delta
-    dists = {}
-    cur = point
-    for n in range(0, orbit.end_index + 1):
-        if n:
-            cur = f.apply(cur)
-        dists[n] = distance(orbit.point(n), cur)
-    cur = point
-    for n in range(-1, orbit.start_index - 1, -1):
-        cur = f_inv.apply(cur)
-        dists[n] = distance(orbit.point(n), cur)
-    steps = range(orbit.start_index, orbit.end_index + 1)
-    for n in steps:
-        if dists[n].gt_pow(delta.exponent):
-            raise PadicError(f"internal: {solver} shadow violates delta at step {n}: "
-                             f"{dists[n].describe(p)}")
-    return tuple(dists[n] for n in steps)
+    return _certified(spec, spec.inverse_spec(), x, orbit, delta.exponent, "affine-qp",
+                      {"branch": branch, "delta": delta.describe(spec.prime)}, PadicError)
 
 
 def certify_expansion(spec: MapSpec, *, samples: int = 128, seed: int = 0) -> int:
@@ -524,8 +485,7 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
         raise CertificationError(f"not a dilatation: certified constant p^{k}")
     g_inv = g.inverse_spec()
     p = g.prime
-    delta = orbit.certified_delta
-    eps_exp = delta.exponent
+    eps_exp = orbit.certified_delta.exponent
     fwd_last = orbit.end_index
     width = max(x.width for x in orbit.points)
     zero = QpApprox(p, eps_exp, (0,) * width)
@@ -565,21 +525,10 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
                 or eps_exp + k * (iterations + 1) >= floor):
             converged = True
             break
-    point = orbit.point(0) + ys[0]
-    ordered = _two_sided_distances(g, g_inv, point, orbit, "dilatation")
-    return ShadowResult(
-        point=point,
-        epsilon=pnorm_max(ordered),
-        step_distances=ordered,
-        start_index=orbit.start_index,
-        solver="dilatation",
-        details={
-            "expansion_exponent": k,
-            "iterations": iterations,
-            "converged": converged,
-            "correction_exponents": tuple(correction_exponents),
-        },
-    )
+    return _certified(
+        g, g_inv, orbit.point(0) + ys[0], orbit, eps_exp, "dilatation",
+        {"expansion_exponent": k, "iterations": iterations, "converged": converged,
+         "correction_exponents": tuple(correction_exponents)}, PadicError)
 
 
 _HEADER_RE = re.compile(r"^#\s*(.*)$")

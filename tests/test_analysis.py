@@ -14,7 +14,7 @@ from padicdyn.analysis import (
     shadowing_modulus_bound,
     verify_scaling,
 )
-from padicdyn.core import PNorm, PrecisionError, ZpApprox, distance
+from padicdyn.core import PNorm, PrecisionError, PrimeMismatch, ZpApprox, distance
 from padicdyn.maps import (
     ENTRY_BUDGET,
     AffineZp,
@@ -422,3 +422,15 @@ def test_brute_force_oracles_refuse_over_budget():
                  lambda: brute_shadow_points(f, orbit, 1, 1, 0, precision)):
         with pytest.raises(PrecisionError, match="over the budget"):
             call()
+
+
+def test_brute_counts_raise_the_map_error():
+    # the fixed-point count is the period-1 count, and neither rewraps what
+    # the map raises into a bare PadicError
+    f3 = table_from_spec(ShiftPower(Prime(3), 1))
+    for call in (lambda: brute_fixed_point_count(f3, 2, 3),
+                 lambda: brute_periodic_point_count(f3, 2, 2, 3)):
+        with pytest.raises(PrimeMismatch):
+            call()
+    tj = table_from_spec(Tj(Prime(2), 1, 2))
+    assert brute_fixed_point_count(tj, 2, 6) == brute_periodic_point_count(tj, 2, 1, 6)

@@ -294,7 +294,8 @@ def test_exit_codes(specs, capsys, tmp_path):
         capsys.readouterr()
     # precondition: a table, seed or sup-distance enumeration over the entry
     # budget, refused before it starts (a prime near 10^18 makes p^arity
-    # astronomical; --s 30 compares 2^32 entries of the p = 2 shift)
+    # astronomical; --s 30 compares 2^32 entries of the p = 2 shift, and
+    # 40-digit points pass the 37 digits its horizon needs)
     huge_shift, huge_tj = tmp_path / "huge_shift.json", tmp_path / "huge_tj.json"
     huge_shift.write_text('{"type":"shift_power","p":1000000000000000003,"m":1}')
     huge_tj.write_text('{"type":"tj","p":1000000000000000003,"m":1,"j":1}')
@@ -302,7 +303,7 @@ def test_exit_codes(specs, capsys, tmp_path):
                     ["validate", "--map", str(huge_shift)],
                     ["fixed-points", "--map", str(huge_tj)],
                     ["conjugate", "--map", str(shift_path), "--constructor", "nearby",
-                     "--other", str(shift_path), "--s", "30"]):
+                     "--other", str(shift_path), "--s", "30", "--precision", "40"]):
         assert main(command) == 3, command
         assert "over the budget" in capsys.readouterr().err
     # precondition: a brute force over 2^40 residues, and 2^19 seeds of period
@@ -317,6 +318,54 @@ def test_exit_codes(specs, capsys, tmp_path):
                      "--steps", steps, "--start", "3^-1 * [1 2 0 1]", "--delta-exp", "3",
                      "--seed", "1", "--out", str(tmp_path / "o2.txt")]) == 3, (back, steps)
         capsys.readouterr()
+    # precondition: an orbit file whose indices miss x_0, for every solver, and
+    # a two-sided orbit given to a one-sided solver
+    sub_path = tmp_path / "sub.json"
+    sub_path.write_text(dumps_spec(Substitution(Prime(2), ((0, 1), (0,)))))
+    qstart = "3^-1 * [1 2 0 1 0 2 1 1 0 2 1 0 1 2 0 1 1 1 2 0]"
+    zstart = "2^0 * [1 0 1 1 0 1 0 0 1 1]"
+    made = {}
+    for name, spec, start, steps, extra in (
+            ("q6", specs["affq"], qstart, "5", ["--two-sided"]),
+            ("q5", specs["affq"], qstart, "4", ["--two-sided"]),
+            ("z5", str(shift_path), zstart, "4", []),
+            ("s5", str(sub_path), zstart, "4", [])):
+        made[name] = tmp_path / f"{name}.txt"
+        assert main(["orbit", "--map", spec, "--start", start, "--delta-exp", "3",
+                     "--steps", steps, "--seed", "1", "--out", str(made[name])] + extra) == 0
+        capsys.readouterr()
+
+    def reindexed(name, start_index):
+        path = tmp_path / f"{name}_{start_index}.txt"
+        header, rest = made[name].read_text().split("\n", 1)
+        assert "start_index=0 " in header
+        path.write_text(header.replace("start_index=0 ", f"start_index={start_index} ")
+                        + "\n" + rest)
+        return str(path)
+
+    for spec, orbit, solver in (
+            (specs["affq"], reindexed("q6", 2), "affine-qp"),
+            (specs["affq"], reindexed("q6", 2), "dilatation"),
+            (specs["affq"], reindexed("q5", -9), "affine-qp"),
+            (specs["affq"], reindexed("q5", -9), "dilatation"),
+            (str(shift_path), reindexed("z5", 2), "scaling"),
+            (str(shift_path), reindexed("z5", -2), "scaling"),
+            (str(sub_path), reindexed("s5", -2), "lipschitz")):
+        assert main(["shadow", "--map", spec, "--orbit", orbit, "--solver", solver]) == 3, \
+            (orbit, solver)
+        assert "precondition violated" in capsys.readouterr().err
+
+
+def test_nearby_refuses_short_points_before_comparing(specs, capsys, monkeypatch):
+    # horizon 6 at s = 17 needs 1 + 17 + 6 = 24 digits of each 14-digit point;
+    # that is known before the 2^20-entry sup-distance comparison starts
+    def refuse(*args):
+        raise AssertionError("the sup distance was compared before the horizon check")
+
+    monkeypatch.setattr("padicdyn.conjugacy.table_sup_distance_exponent", refuse)
+    assert main(["conjugate", "--map", specs["shift"], "--constructor", "nearby",
+                 "--other", specs["shift"], "--s", "17"]) == 3
+    assert "horizon 6 needs 24 digits of x, got 14" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- byte-identical corpus

@@ -165,6 +165,6 @@ def test_every_public_name_resolves():
         assert getattr(padicdyn, name) is not None, name
     assert shadowing.CertificationError is maps.CertificationError
     assert conjugacy.CertificationError is maps.CertificationError
-    for gone in ("scaling_class_of", "invert_spec"):
+    for gone in ("scaling_class_of", "invert_spec", "_two_sided_distances"):
         assert not hasattr(maps, gone) and not hasattr(shadowing, gone), gone
     assert not hasattr(AffineQp, "scaling_exponent")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from padicdyn import shadowing
 from padicdyn.core import (
     PadicError,
     PrecisionError,
@@ -89,6 +90,12 @@ def test_pseudo_orbit_validation_and_accessors():
     assert not orbit.two_sided
     with pytest.raises(ValueError):
         PseudoOrbit((x0,), ())
+    # the orbit must hold x_0: start_index <= 0 <= end_index
+    two = orbit.points[:2], orbit.residuals[:1]
+    assert PseudoOrbit(*two, -1).end_index == 0
+    for start in (1, -2):
+        with pytest.raises(ValueError, match="must hold x_0"):
+            PseudoOrbit(*two, start)
 
 
 def test_shadow_true_orbit_is_trivial():
@@ -166,9 +173,9 @@ def test_shadow_rejects_two_sided():
     x0 = QpApprox(p, 0, tuple(random.Random(0).randrange(3) for _ in range(12)))
     orbit = perturb_orbit_two_sided(spec, x0, 3, 2, 2, seed=9)
     table = table_from_spec(ShiftPower(p, 1))
-    with pytest.raises(PadicError):
+    with pytest.raises(PrecisionError, match="one-sided"):
         shadow_locally_scaling(table, orbit, s=0)
-    with pytest.raises(PadicError):
+    with pytest.raises(PrecisionError, match="one-sided"):
         shadow_lipschitz(Substitution(p, ((0,), (1,), (2,))), orbit)
 
 
@@ -456,6 +463,71 @@ def test_certify_expansion():
             perturb_orbit_two_sided(
                 AffineQp(QpApprox(p, 1, (1,) + (0,) * 9), QpApprox(p, 0, (0,) * 10)),
                 QpApprox(p, 0, tuple([1] + [0] * 9)), 2, 1, 2, seed=0))
+
+
+class _Shifted:
+    """A map that is ``base`` plus a constant: a planted wrong inverse."""
+
+    def __init__(self, base, c):
+        self.base, self.c, self.prime = base, c, base.prime
+
+    def apply(self, x):
+        return self.base.apply(x) + self.c
+
+
+def _plant(monkeypatch, *, point_shift=None, inverse_shift=None):
+    """Hand the certificate walk a wrong point or a wrong inverse."""
+    real = shadowing._certified
+
+    def walk(f, f_inv, point, *rest):
+        if point_shift is not None:
+            point = point + point_shift
+        if inverse_shift is not None:
+            f_inv = _Shifted(f_inv, inverse_shift)
+        return real(f, f_inv, point, *rest)
+
+    monkeypatch.setattr(shadowing, "_certified", walk)
+
+
+def test_certificate_walk_checks_forward_steps(monkeypatch):
+    # a point off x_0 in digit 0 is p^0 from x_0 at step 0, far above the bound
+    table = table_from_spec(ShiftPower(Prime(2), 1))
+    orbit = perturb_orbit(table, ZpApprox.from_int(0b1011011, 2, 14), 2, 5, seed=3)
+    one = ZpApprox.from_int(1, 2, 40)
+    _plant(monkeypatch, point_shift=one)
+    with pytest.raises(PadicError, match="internal: locally-scaling .* step 0") as exc:
+        shadow_locally_scaling(table, orbit, s=1)
+    assert exc.type is PadicError
+
+    class Counting:
+        prime, calls = Prime(2), 0
+
+        def apply(self, x):
+            Counting.calls += 1
+            return sub.apply(x)
+
+    sub = Substitution(Prime(2), ((0, 1), (0,)))
+    orbit = perturb_orbit(sub, ZpApprox.from_int(0b1101, 2, 12), 3, 5, seed=1)
+    with pytest.raises(CertificationError, match="step 0"):
+        shadow_lipschitz(Counting(), orbit, certification="given")
+    assert Counting.calls == 0  # raised before any later step was evaluated
+
+
+def test_certificate_walk_checks_backward_steps(monkeypatch):
+    # a wrong inverse moves only x_{-1}'s image, so only the backward
+    # direction of the walk can see it
+    p = Prime(3)
+    spec = AffineQp(QpApprox(p, -1, (1,) + (0,) * 29), QpApprox(p, 0, (2,) + (0,) * 29))
+    x0 = QpApprox(p, -1, tuple(random.Random(19).randrange(3) for _ in range(20)))
+    orbit = perturb_orbit_two_sided(spec, x0, 2, 4, 4, seed=5)
+    for solve in (lambda: shadow_affine_qp(spec.a, spec.b, orbit),
+                  lambda: shadow_dilatation(spec, orbit)):
+        solve()  # certifies without the planted fault
+        with monkeypatch.context() as m:
+            _plant(m, inverse_shift=QpApprox(p, 0, (1,) + (0,) * 20))
+            with pytest.raises(PadicError, match="internal: .* step -1") as exc:
+                solve()
+        assert exc.type is PadicError
 
 
 def test_orbit_file_round_trip(tmp_path):
