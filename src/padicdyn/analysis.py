@@ -357,36 +357,3 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
         points=tuple(points),
         closed_form=spec.closed_form(n) if spec is not None else None,
     )
-
-
-@dataclass(frozen=True)
-class ShadowingModulus:
-    """Guaranteed (epsilon, delta) exponent pairing for a scaling class.
-
-    For epsilon = p^-(k+s) a shadow exists for every pseudo-orbit at
-    delta = p^-(l+s) when m < k, and at delta = p^-(k+s) when m = k.
-    """
-
-    klass: ScalingClass
-
-    def epsilon_exponent(self, s: int) -> int:
-        return self.klass.k + s
-
-    def delta_exponent(self, s: int) -> int:
-        return self.klass.delta_exponent(s)
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.klass.k,
-            "m": self.klass.m,
-            "pairs": [
-                {"s": s,
-                 "epsilon_exponent": self.epsilon_exponent(s),
-                 "delta_exponent": self.delta_exponent(s)}
-                for s in range(4)
-            ],
-        }
-
-
-def shadowing_modulus_bound(klass: ScalingClass) -> ShadowingModulus:
-    return ShadowingModulus(klass)

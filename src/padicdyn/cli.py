@@ -23,7 +23,6 @@ from .analysis import (
     ScalingClass,
     fixed_points,
     periodic_points,
-    shadowing_modulus_bound,
     verify_scaling,
 )
 from .conjugacy import (
@@ -67,7 +66,6 @@ from .shadowing import (
     PseudoOrbit,
     load_orbit_points,
     perturb_orbit,
-    perturb_orbit_two_sided,
     save_orbit,
     shadow_affine_qp,
     shadow_dilatation,
@@ -151,7 +149,13 @@ def cmd_fixed_points(args) -> dict:
         "command": "fixed-points",
         "map": args.map,
         "report": report.as_dict(int(spec.prime)),
-        "modulus": shadowing_modulus_bound(report.klass).as_dict(),
+        "modulus": {
+            "k": report.klass.k,
+            "m": report.klass.m,
+            "pairs": [{"s": s, "epsilon_exponent": report.klass.k + s,
+                       "delta_exponent": report.klass.delta_exponent(s)}
+                      for s in range(4)],
+        },
     }
     if report.closed_form is not None and report.count != report.closed_form:
         raise VerificationFailure(
@@ -302,11 +306,7 @@ def cmd_mahler(args) -> dict:
 def cmd_orbit(args) -> dict:
     spec = _load_map(args.map)
     start = parse_value(args.start, spec.domain)
-    if args.two_sided:
-        orbit = perturb_orbit_two_sided(
-            spec, start, args.delta_exp, args.back, args.steps, args.seed)
-    else:
-        orbit = perturb_orbit(spec, start, args.delta_exp, args.steps, args.seed)
+    orbit = perturb_orbit(spec, start, args.delta_exp, args.steps, args.seed, args.back)
     save_orbit(orbit, args.out)
     return {
         "command": "orbit",
@@ -342,10 +342,8 @@ def cmd_oracle(args) -> dict:
     if args.oracle == "shadow":
         spec = _load_map(args.map)
         points, start, _ = _load_orbit(args.orbit)
-        if start != 0:
-            raise PrecisionError("the shadow oracle is one-sided")
         table = table_from_spec(spec, depth=args.precision)
-        orbit = PseudoOrbit.from_map(table, points, 0)
+        orbit = PseudoOrbit.from_map(table, points, start)
         result = shadow_locally_scaling(table, orbit, args.s)
         k, m = table.klass.k, table.klass.m
         sols = brute_shadow_points(table, points, k, m, args.s, args.precision)
@@ -458,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--start", required=True, help="textual start value")
     po.add_argument("--delta-exp", dest="delta_exp", type=int, required=True)
     po.add_argument("--steps", type=int, required=True)
-    po.add_argument("--back", type=int, default=0)
-    po.add_argument("--two-sided", dest="two_sided", action="store_true")
+    po.add_argument("--back", type=int, default=0,
+                    help="backward steps through the map's exact inverse")
     po.add_argument("--seed", type=int, required=True)
     po.add_argument("--out", required=True, help="orbit file path (report goes to stdout)")
     po.set_defaults(func=cmd_orbit, report_to_out=False)

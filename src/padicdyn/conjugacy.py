@@ -491,10 +491,9 @@ def verify_conjugacy(h, f_map, g_map, samples) -> ConjugacyReport:
     collisions among the samples are collected as witnesses.  This is pure
     measurement: nothing is asserted, everything is reported.
     """
-    hf = h.forward if isinstance(h, ConjugacyMap) else h
     samples = list(samples)
-    hs = [hf(x) for x in samples]
-    residuals = [distance(f_map.apply(hx), hf(g_map.apply(x)))
+    hs = [h(x) for x in samples]
+    residuals = [distance(f_map.apply(hx), h(g_map.apply(x)))
                  for x, hx in zip(samples, hs)]
     bad = [r for r in residuals if r.exact]
     deviations = []

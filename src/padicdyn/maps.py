@@ -229,6 +229,8 @@ class DigitFunctionTable:
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         """Apply the map; the result has precision N - (k-l), capped by depth."""
+        if not isinstance(x, ZpApprox):
+            raise PrecisionError(f"domain mismatch: a table acts on zp, got {type(x).__name__}")
         if x.prime != self.prime:
             raise PrimeMismatch(f"primes {x.prime} and {self.prime}")
         k, m = self.klass.k, self.klass.m
@@ -333,7 +335,7 @@ class MapSpec:
         return None
 
     def inverse_spec(self) -> "MapSpec":
-        raise PadicError(f"no exact inverse available for {type(self).__name__}")
+        raise PrecisionError(f"no exact inverse available for {type(self).__name__}")
 
     def apply(self, x):
         raise NotImplementedError
@@ -344,7 +346,7 @@ class MapSpec:
     def _check_domain(self, x) -> None:
         want = QpApprox if self.domain == "qp" else ZpApprox
         if not isinstance(x, want):
-            raise PadicError(
+            raise PrecisionError(
                 f"domain mismatch: {type(self).__name__} acts on "
                 f"{self.domain}, got {type(x).__name__}")
         if x.prime != self.prime:

@@ -2,7 +2,10 @@
 
 A delta-pseudo-orbit stores its points together with the exact residuals
 w_n = x_{n+1} - f(x_n); its certified delta is the honest maximum of the
-residual norms, recomputable from the points at any time.
+residual norms, recomputable from the points at any time.  One seeded
+generator, ``perturb_orbit``, builds them on Z_p and Q_p alike: forward
+from x_0 through f, and backward through the map's exact inverse when
+asked for backward steps (the two-sided orbits of Q_p homeomorphisms).
 
 Solvers:
 
@@ -143,58 +146,50 @@ def _random_zp_residual(rng, p: int, precision: int, delta_exp: int) -> ZpApprox
     return ZpApprox(p, digits)
 
 
-def perturb_orbit(map_like, x0: ZpApprox, delta_exponent: int, steps: int,
-                  seed: int) -> PseudoOrbit:
-    """x_{n+1} = f(x_n) + w_n with w_n uniform among values of norm <= p^-delta.
+def perturb_orbit(map_like, x0, delta_exponent: int, steps: int, seed: int,
+                  back: int = 0) -> PseudoOrbit:
+    """The pseudo-orbit x_{-back}, ..., x_steps of f through x0.
 
-    Deterministic under the seed (mt19937).  Precision decays by the map's
-    digit loss each step; the orbit fails with a precision error rather than
-    fabricate digits when the start point is too short.
+    Forward points are x_{n+1} = f(x_n) + w_n, then backward points are
+    x_{n-1} = f^-1(x_n - w_{n-1}) through the map's exact ``inverse_spec()``,
+    every w of norm <= p^-delta_exponent.  On Z_p, w is uniform over f(x_n)'s
+    digit window; on Q_p it has x0's width from valuation delta_exponent.
+    Residuals are stored as the points determine them: on Z_p the drawn w
+    itself, on Q_p without the noise below a point's window, which is not
+    recoverable and must not be claimed.
+
+    Deterministic under the seed (mt19937), forward draws first.  Precision
+    decays by the map's digit loss each step; the orbit fails with a
+    precision error rather than fabricate digits when x0 is too short.
     """
+    if back < 0 or steps < 0:
+        raise ValueError(f"step counts must be >= 0, got back={back}, steps={steps}")
     rng = random.Random(seed)
-    points = [x0]
-    residuals = []
+    p = x0.prime
+    if isinstance(x0, ZpApprox):
+        draw = lambda fx: _random_zp_residual(rng, p, fx.precision, delta_exponent)
+    else:
+        draw = lambda fx: QpApprox(p, delta_exponent,
+                                   tuple(rng.randrange(p) for _ in range(x0.width)))
+    points, residuals = [x0], []
     for _ in range(steps):
         fx = map_like.apply(points[-1])
-        w = _random_zp_residual(rng, fx.prime, fx.precision, delta_exponent)
-        points.append(fx + w)
-        residuals.append(w)
-    return PseudoOrbit(tuple(points), tuple(residuals), 0)
-
-
-def _random_qp_residual(rng, p: int, delta_exp: int, width: int) -> QpApprox:
-    return QpApprox(p, delta_exp, tuple(rng.randrange(p) for _ in range(width)))
+        x = fx + draw(fx)
+        points.append(x)
+        residuals.append(x - fx)
+    inv = map_like.inverse_spec() if back else None
+    for _ in range(back):
+        x = points[0]
+        prev = inv.apply(x - draw(x))
+        points.insert(0, prev)
+        residuals.insert(0, x - map_like.apply(prev))
+    return PseudoOrbit(points, residuals, -back)
 
 
 def perturb_orbit_two_sided(spec: MapSpec, x0: QpApprox, delta_exponent: int,
                             back: int, forward: int, seed: int) -> PseudoOrbit:
-    """Two-sided pseudo-orbit of an invertible Q_p spec.
-
-    Forward points are f(x_n) + w_n; backward points solve
-    x_{n-1} = f^-1(x_n - w_{n-1}), so the stored residuals are exact on
-    both sides.
-    """
-    if back < 0 or forward < 0:
-        raise ValueError(f"step counts must be >= 0, got back={back}, forward={forward}")
-    rng = random.Random(seed)
-    inv = spec.inverse_spec()
-    width = x0.width
-    fwd_points = [x0]
-    for _ in range(forward):
-        fx = spec.apply(fwd_points[-1])
-        w = _random_qp_residual(rng, x0.prime, delta_exponent, width)
-        fwd_points.append(fx + w)
-    bwd_points = []
-    cur = x0
-    for _ in range(back):
-        w = _random_qp_residual(rng, x0.prime, delta_exponent, width)
-        prev = inv.apply(cur - w)
-        bwd_points.append(prev)
-        cur = prev
-    points = tuple(reversed(bwd_points)) + tuple(fwd_points)
-    # store the residuals the points themselves determine (the drawn noise
-    # below a point's window is not recoverable and must not be claimed)
-    return PseudoOrbit.from_map(spec, points, -back)
+    """:func:`perturb_orbit` with ``back`` backward and ``forward`` forward steps."""
+    return perturb_orbit(spec, x0, delta_exponent, forward, seed, back)
 
 
 @dataclass(frozen=True)

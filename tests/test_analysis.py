@@ -11,7 +11,6 @@ from padicdyn.analysis import (
     expansivity_check,
     fixed_points,
     periodic_points,
-    shadowing_modulus_bound,
     verify_scaling,
 )
 from padicdyn.core import PNorm, PrecisionError, PrimeMismatch, ZpApprox, distance
@@ -351,14 +350,12 @@ def test_conjugacy_invariance_of_counts():
 
 
 def test_shadowing_modulus_bounds():
-    mod = shadowing_modulus_bound(ScalingClass(3, 1))
-    assert mod.epsilon_exponent(0) == 3 and mod.delta_exponent(0) == 2
-    mod = shadowing_modulus_bound(ScalingClass(2, 2))
-    assert mod.epsilon_exponent(1) == 3 and mod.delta_exponent(1) == 3
-    # shifting s shifts both exponents by one
+    assert ScalingClass(3, 1).delta_exponent(0) == 2
+    klass = ScalingClass(2, 2)
+    assert klass.delta_exponent(1) == 3
+    # shifting s shifts delta's exponent by one, as it does epsilon's k + s
     for s in range(3):
-        assert mod.delta_exponent(s + 1) == mod.delta_exponent(s) + 1
-        assert mod.epsilon_exponent(s + 1) == mod.epsilon_exponent(s) + 1
+        assert klass.delta_exponent(s + 1) == klass.delta_exponent(s) + 1
 
 
 def test_modulus_consistent_with_solver():
@@ -368,15 +365,14 @@ def test_modulus_consistent_with_solver():
     rng = random.Random(23)
     for p, k, m in [(2, 2, 1), (3, 2, 2)]:
         klass = ScalingClass(k, m)
-        mod = shadowing_modulus_bound(klass)
         for s in (0, 1):
             table = random_table(rng, p, klass, k + s + 2)
             for trial in range(20):
                 x0 = ZpApprox(p, tuple(rng.randrange(p) for _ in range(k + s + 14)))
-                orbit = perturb_orbit(table, x0, mod.delta_exponent(s), 6,
+                orbit = perturb_orbit(table, x0, klass.delta_exponent(s), 6,
                                       seed=trial)
                 res = shadow_locally_scaling(table, orbit, s)
-                assert res.epsilon.leq_pow(mod.epsilon_exponent(s))
+                assert res.epsilon.leq_pow(k + s)
 
 
 def test_closed_forms():

@@ -122,7 +122,7 @@ def test_shadow_affine_qp_two_sided(specs, capsys, tmp_path):
     start = "3^-2 * [1 2 0 1 0 2 1 1 0 2 1 0 1 2 0 1 1 1 2 0]"
     code, _ = run(capsys, "orbit", "--map", specs["affq"], "--start", start,
                   "--delta-exp", "2", "--steps", "5", "--back", "5",
-                  "--two-sided", "--seed", "7", "--out", orbit_path)
+                  "--seed", "7", "--out", orbit_path)
     assert code == 0
     for solver in ("affine-qp", "dilatation"):
         code, out = run(capsys, "shadow", "--map", specs["affq"],
@@ -314,7 +314,7 @@ def test_exit_codes(specs, capsys, tmp_path):
         assert "over the budget" in capsys.readouterr().err
     # precondition: negative step counts for a two-sided orbit
     for back, steps in (("-2", "3"), ("2", "-3")):
-        assert main(["orbit", "--map", specs["affq"], "--two-sided", "--back", back,
+        assert main(["orbit", "--map", specs["affq"], "--back", back,
                      "--steps", steps, "--start", "3^-1 * [1 2 0 1]", "--delta-exp", "3",
                      "--seed", "1", "--out", str(tmp_path / "o2.txt")]) == 3, (back, steps)
         capsys.readouterr()
@@ -325,14 +325,14 @@ def test_exit_codes(specs, capsys, tmp_path):
     qstart = "3^-1 * [1 2 0 1 0 2 1 1 0 2 1 0 1 2 0 1 1 1 2 0]"
     zstart = "2^0 * [1 0 1 1 0 1 0 0 1 1]"
     made = {}
-    for name, spec, start, steps, extra in (
-            ("q6", specs["affq"], qstart, "5", ["--two-sided"]),
-            ("q5", specs["affq"], qstart, "4", ["--two-sided"]),
-            ("z5", str(shift_path), zstart, "4", []),
-            ("s5", str(sub_path), zstart, "4", [])):
+    for name, spec, start, steps in (
+            ("q6", specs["affq"], qstart, "5"),
+            ("q5", specs["affq"], qstart, "4"),
+            ("z5", str(shift_path), zstart, "4"),
+            ("s5", str(sub_path), zstart, "4")):
         made[name] = tmp_path / f"{name}.txt"
         assert main(["orbit", "--map", spec, "--start", start, "--delta-exp", "3",
-                     "--steps", steps, "--seed", "1", "--out", str(made[name])] + extra) == 0
+                     "--steps", steps, "--seed", "1", "--out", str(made[name])]) == 0
         capsys.readouterr()
 
     def reindexed(name, start_index):
@@ -354,6 +354,53 @@ def test_exit_codes(specs, capsys, tmp_path):
         assert main(["shadow", "--map", spec, "--orbit", orbit, "--solver", solver]) == 3, \
             (orbit, solver)
         assert "precondition violated" in capsys.readouterr().err
+    for start_index, reason in ((-2, "one-sided"), (2, "must hold x_0")):
+        assert main(["oracle", "shadow", "--map", str(shift_path),
+                     "--orbit", reindexed("z5", start_index)]) == 3
+        assert reason in capsys.readouterr().err
+
+
+def test_wrong_domain_inputs_exit_3(capsys, tmp_path):
+    # a Z_p map given Q_p input, a Q_p map given Z_p input, and --back on a
+    # map with no exact inverse are preconditions: exit 3, never 1 or 5
+    p3 = Prime(3)
+    files = {}
+    for name, spec in (
+            ("affq", AffineQp(QpApprox(p3, -1, (1,) + (0,) * 29),
+                              QpApprox(p3, 0, (2,) + (0,) * 29))),
+            ("shift", ShiftPower(p3, 1)),
+            ("table", TableMap(random_table(random.Random(1), p3, ScalingClass(1, 1), 4))),
+            ("psi", AffineZp(ZpApprox.from_int(18, p3, 12), ZpApprox.from_int(0, p3, 12)))):
+        files[name] = str(tmp_path / f"{name}.json")
+        save_spec(spec, files[name])
+    zorbit, qorbit = str(tmp_path / "z.txt"), str(tmp_path / "q.txt")
+    for name, start, out in (("shift", "3^0 * [1 0 2 1 1 0 2 2 1 0]", zorbit),
+                             ("affq", "3^-1 * [1 2 0 1 0 2 1 1 0 2 1 0]", qorbit)):
+        assert main(["orbit", "--map", files[name], "--start", start, "--delta-exp", "2",
+                     "--steps", "3", "--seed", "1", "--out", out]) == 0
+    capsys.readouterr()
+    solvers = ("auto", "scaling", "lipschitz", "affine-qp", "dilatation")
+    commands = [
+        ["validate", "--map", files["affq"], "--k", "1", "--m", "1"],
+        ["mahler", "--map", files["affq"]],
+        ["conjugate", "--map", files["affq"], "--constructor", "affine-shell",
+         "--a", "3^0 * [0 1 0 0]"],
+        ["oracle", "shadow", "--map", files["shift"], "--orbit", qorbit],
+    ] + [["shadow", "--map", files["affq"], "--orbit", zorbit, "--solver", s]
+         for s in solvers]
+    for name in ("shift", "table", "psi"):
+        commands += [["shadow", "--map", files[name], "--orbit", qorbit, "--solver", s]
+                     for s in solvers]
+        commands += [
+            ["conjugate", "--map", files[name], "--constructor", "qp-affine"],
+            ["orbit", "--map", files[name], "--start", "3^0 * [1 0 2 1 1 0 2]",
+             "--delta-exp", "2", "--steps", "2", "--back", "2", "--seed", "1",
+             "--out", str(tmp_path / "o.txt")]]
+    for command in commands:
+        code = main(command)
+        err = capsys.readouterr().err
+        assert code == 3, (code, command, err)
+        assert "domain mismatch" in err or "no exact inverse" in err, (command, err)
 
 
 def test_nearby_refuses_short_points_before_comparing(specs, capsys, monkeypatch):
@@ -435,14 +482,14 @@ CLI_CORPUS = [
     ('shadow --map sub.json --orbit orbs.txt', 0,
      "0103b311883a28ec43ef50be87bc479c14a9b8a53d1df70f6c81e4aed48c40af"),
     ('orbit --map affq.json --start "3^-2 * [1 2 0 1 0 2 1 1 0 2 1 0 1 2 0 1 1 1 2 0]" '
-     '--delta-exp 2 --steps 5 --back 5 --two-sided --seed 7 --out orbq.txt', 0,
+     '--delta-exp 2 --steps 5 --back 5 --seed 7 --out orbq.txt', 0,
      "181f461a8bd2c72359a288b0cf6378d7fa52f9c0a9a5bee9f35f73ca4195baf7"),
     ('shadow --map affq.json --orbit orbq.txt --solver affine-qp', 0,
      "f442e2c5b270dd59dfc357a0a675bbddb2dcc2f61dbfc7382de4a8519b46ba92"),
     ('shadow --map affq.json --orbit orbq.txt --solver dilatation', 0,
      "a9401d168558e829382b03e9b74af75bb9730889d9638dd1783e5fa09c8cebf4"),
     ('orbit --map affc.json --start "3^-1 * [2 1 0 1 2 2 0 1 1 0 2 1 0 0 1 2 1 0 2 1]" '
-     '--delta-exp 2 --steps 4 --back 4 --two-sided --seed 11 --out orbc.txt', 0,
+     '--delta-exp 2 --steps 4 --back 4 --seed 11 --out orbc.txt', 0,
      "ba83ade4566e4a0e522814d82b7cb2a4cc241c1c54fc74794cb48b84306deb7d"),
     ('shadow --map affc.json --orbit orbc.txt --solver affine-qp', 0,
      "841909197c569dbc07308413874ebd76fa611c4a1e8878ac9d2e6c2c5416b4a3"),

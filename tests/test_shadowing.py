@@ -82,6 +82,33 @@ def test_perturb_orbit_at_precision_floor_is_true_orbit():
         assert orbit.points[n] == want
 
 
+def test_one_generator_forward_and_back():
+    # on Q_p the backward draws follow the forward ones, so a one-sided orbit
+    # is the forward half of the two-sided orbit with the same seed
+    p = Prime(3)
+    spec = AffineQp(QpApprox(p, -1, (1,) + (0,) * 29), QpApprox(p, 0, (2, 1) + (0,) * 28))
+    x0 = QpApprox(p, -2, tuple(random.Random(5).randrange(3) for _ in range(20)))
+    one = perturb_orbit(spec, x0, 2, 5, 13)
+    assert one.start_index == 0 and one.validate(spec)
+    for back in (1, 4):
+        both = perturb_orbit(spec, x0, 2, 5, 13, back=back)
+        assert both.points[back:] == one.points and both.residuals[back:] == one.residuals
+        assert both.start_index == -back and both.validate(spec)
+        assert perturb_orbit_two_sided(spec, x0, 2, back, 5, 13) == both
+    # on Z_p the stored residuals are the drawn ones
+    table = random_table(random.Random(8), 2, ScalingClass(2, 1), 12)
+    orbit = perturb_orbit(table, ZpApprox.from_int(0b1011011101101, 2, 16), 2, 6, 21)
+    rng = random.Random(21)
+    for x, w in zip(orbit.points, orbit.residuals):
+        drawn = shadowing._random_zp_residual(rng, 2, table.apply(x).precision, 2)
+        assert w == drawn
+    # going back needs the map's exact inverse
+    with pytest.raises(PrecisionError, match="no exact inverse"):
+        perturb_orbit(ShiftPower(Prime(2), 1), ZpApprox.from_int(5, 2, 8), 2, 2, 0, back=1)
+    with pytest.raises(ValueError, match="step counts"):
+        perturb_orbit(spec, x0, 2, 5, 13, back=-1)
+
+
 def test_pseudo_orbit_validation_and_accessors():
     table = table_from_spec(ShiftPower(Prime(2), 1))
     x0 = ZpApprox.from_int(0b101101, 2, 10)
