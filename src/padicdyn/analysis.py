@@ -112,9 +112,10 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     verified report counts every pair of the strata.  When that check fails,
     or the images come back at mixed output precisions, the pairs are walked
     in (x, y) order and the first violating pair is the witness, with the
-    pairs walked up to it as the count.  Above the limit, ``per_stratum``
-    seeded random pairs per distance stratum are checked, and the first
-    violating one is the witness.
+    pairs walked up to it as the count.  A caller-raised limit above
+    ``maps.ENTRY_BUDGET`` is refused before any image is computed.  Above
+    the limit, ``per_stratum`` seeded random pairs per distance stratum are
+    checked, and the first violating one is the witness.
     """
     p = map_like.prime
     f = map_like.apply
@@ -126,6 +127,7 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
 
     if p**N <= exhaustive_limit:
         mode = "exhaustive"
+        _check_budget(p**N, "the exhaustive scaling images")
         values, precisions = [], []
         for xi in range(p**N):
             y = f(ZpApprox.from_int(xi, p, N))

@@ -127,7 +127,8 @@ class DigitFunctionTable:
     An input known to N digits is the integer x mod p^N, and the mixed-radix
     index of its first t digits is x mod p^t, so :meth:`output_value` reads
     each row straight from that integer; it is the forward evaluation that
-    ``apply`` and the solvers' digit streams share.
+    ``apply`` and the solvers' digit streams share (a solve step then adds
+    one digit per stream with one :meth:`digit_value` read).
 
     Because every digit function at i >= l is a bijection in its last
     variable, it has an inverse in that variable: :meth:`inverse_value`
@@ -243,6 +244,10 @@ class DigitFunctionTable:
             raise DepthExhausted("table depth exhausted before the first digit")
         y, n = self.output_value(x.value, x.precision, 0, 0)
         return ZpApprox._of(self.prime, n, y)
+
+    def inverse_spec(self):
+        """A table map is p^m-to-one, so it never has an exact inverse."""
+        raise PrecisionError(f"no exact inverse available for {type(self).__name__}")
 
 
 def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,

@@ -16,14 +16,15 @@ Solvers:
   match the n-th orbit point, which pins down the next k-l digits of y,
   one at a time: each digit function is a bijection in its last variable,
   so each digit is read from that bijection's inverse, one lookup per
-  iterate level from f^n down to y, and re-checked through the forward
-  tables.  The solver never materializes the iterate tower; it maintains
-  f^j(y) lazily as digit streams, each a pair (value, length) holding
-  f^j(y) mod p^length, asserting the proof's progress index (y determined
-  through nk-(n-1)l+s-1 after step n) at every step.  The one-digit step,
-  ``_solve_next_digit``, also inverts the isometry onto S^k in
-  :mod:`padicdyn.conjugacy` and extends fixed and periodic points in
-  :mod:`padicdyn.analysis`.
+  stored iterate level from f^n down to y (a tail projection passes the
+  digit through, and so does every level below it), and re-checked by one
+  forward table read per level.  The solver never materializes the
+  iterate tower; it maintains f^j(y) lazily as digit streams, each a pair
+  (value, length) holding f^j(y) mod p^length, asserting the proof's
+  progress index (y determined through nk-(n-1)l+s-1 after step n) at
+  every step.  The one-digit step, ``_solve_next_digit``, also inverts the
+  isometry onto S^k in :mod:`padicdyn.conjugacy` and extends fixed and
+  periodic points in :mod:`padicdyn.analysis`.
 
 * ``shadow_lipschitz`` -- a 1-Lipschitz map is shadowed by x_0 itself;
   the certification method for the Lipschitz bound is recorded.
@@ -243,41 +244,50 @@ def _certified(f, f_inv, point, orbit: PseudoOrbit, bound: int, solver: str,
 def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
                       digit_index: int, target: int) -> None:
     """Append to ``levels[0]`` the one digit that makes digit ``digit_index``
-    of f^n equal ``target``, then extend levels 1..n.
+    of f^n equal ``target``, then extend levels 1..n by one digit each.
 
     ``levels[j]`` is a digit stream (value, length): f^j(levels[0]) modulo
-    p^length, with every digit that levels[0] determines.  The next digit of
-    levels[j-1] is the last variable of the next digit function of
-    levels[j], a bijection in that variable, whose other arguments are all
-    of levels[j-1]; so the digit is found by walking down from level n with
-    one inverse lookup per level (:meth:`DigitFunctionTable.inverse_value`,
-    the position of the wanted value in that function's table row).  The
-    levels are then extended through the forward kernel
-    (:meth:`DigitFunctionTable.output_value`), and the digit is kept only if
-    it gives ``target`` there.  Raises :class:`ConstraintUnsolvable` at step
-    ``n``.
+    p^length, with every digit that levels[0] determines, so level j-1 is m
+    digits longer than level j.  The next digit of levels[j-1] is the last
+    variable of the next digit function of levels[j], a bijection in that
+    variable, whose other arguments are all of levels[j-1]; so the digit is
+    found by walking down from level n with one inverse lookup per level
+    (:meth:`DigitFunctionTable.inverse_value`, the position of the wanted
+    value in that function's table row).  Lower levels have larger digit
+    indices, so the walk stops at the first tail projection: a projection
+    inverts to its target, and so does every level below it.  Each level is
+    then extended by one forward read of its digit function on the level
+    below (a projection level takes the level below's new digit), and the
+    digit is kept only if level n's new digit is ``target``.  Raises
+    :class:`ConstraintUnsolvable` at step ``n``.
     """
     # level 1 holds the largest digit index, so it runs out of table first
     if not table.has_digit(levels[1][1]):
         raise ConstraintUnsolvable(n, levels[1][1], "table depth exhausted")
     if levels[n][1] != digit_index:
         raise PadicError("internal: cascade index drift")
-    inverse = table.inverse_value
-    d = target
+    depth, inverse = table.stored_depth, table.inverse_value
+    d, j = target, n
     try:
-        for j in range(n, 0, -1):
+        while j and levels[j][1] < depth:
             d = inverse(levels[j][1], levels[j - 1][0], d)
+            j -= 1
     except ValueError:
         raise ConstraintUnsolvable(
             n, digit_index, "no admissible digit: a digit function misses "
             "a value, so the table lacks bijectivity") from None
-    p = table.prime
+    p, m, digit_value = table.prime, table.klass.m, table.digit_value
     x, t = levels[0]
-    levels[0] = (x + d * p**t, t + 1)
+    x += d * p**t
+    levels[0] = (x, t + 1)
     for j in range(1, n + 1):
-        levels[j] = table.output_value(*levels[j - 1], *levels[j])
-    top, length = levels[n]
-    if length <= digit_index or top // p**digit_index % p != target:
+        y, i = levels[j]
+        if i < depth:
+            # digit function i reads input digits 0..m+i, now all of x
+            d = digit_value(i, x % p ** (m + i + 1))
+        x = y + d * p**i
+        levels[j] = (x, i + 1)
+    if d != target:
         raise ConstraintUnsolvable(
             n, digit_index, "no admissible digit: the solved digit fails the "
             "forward tables, so the table lacks bijectivity")

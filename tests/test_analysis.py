@@ -201,6 +201,19 @@ def test_expansivity_budget_counts_exhaustive_pairs():
                           exhaustive_limit=2**N)
 
 
+def test_verify_scaling_budget_counts_exhaustive_images():
+    # a raised exhaustive limit admits 2^21 inputs, over the entry budget;
+    # the check refuses before it computes any image
+    class NeverEvaluated:
+        prime = Prime(2)
+        apply = staticmethod(_refuse)
+
+    N = ENTRY_BUDGET.bit_length()
+    assert 2**N > ENTRY_BUDGET
+    with pytest.raises(PrecisionError, match="over the budget"):
+        verify_scaling(NeverEvaluated(), ScalingClass(1, 1), N, exhaustive_limit=2**N)
+
+
 def test_expansivity_undecided_reported():
     # horizon 0: pairs differing only deep in the tail cannot separate yet
     report = expansivity_check(ShiftPower(Prime(2), 1), 1, horizon=0, precision=6)

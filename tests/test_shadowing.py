@@ -16,6 +16,7 @@ from padicdyn.core import (
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
+    DigitFunctionTable,
     ScalingClass,
     ShiftPower,
     Substitution,
@@ -102,9 +103,12 @@ def test_one_generator_forward_and_back():
     for x, w in zip(orbit.points, orbit.residuals):
         drawn = shadowing._random_zp_residual(rng, 2, table.apply(x).precision, 2)
         assert w == drawn
-    # going back needs the map's exact inverse
-    with pytest.raises(PrecisionError, match="no exact inverse"):
-        perturb_orbit(ShiftPower(Prime(2), 1), ZpApprox.from_int(5, 2, 8), 2, 2, 0, back=1)
+    # going back needs the map's exact inverse; a table map, p^m-to-one,
+    # never has one
+    for f in (ShiftPower(Prime(2), 1), table):
+        with pytest.raises(PrecisionError,
+                           match=f"no exact inverse available for {type(f).__name__}"):
+            perturb_orbit(f, ZpApprox.from_int(5, 2, 8), 2, 2, 0, back=1)
     with pytest.raises(ValueError, match="step counts"):
         perturb_orbit(spec, x0, 2, 5, 13, back=-1)
 
@@ -260,7 +264,8 @@ def test_solve_next_digit_agrees_with_candidate_search():
                            (3, (3, 2), True), (5, (2, 2), False), (5, (1, 1), True)]:
         table = random_table(rng, p, ScalingClass(*klass), klass[0] + 3,
                              tail_projection=tail)
-        for n in (1, 2, 3):
+        # deep levels sit in the tail projection region when there is one
+        for n in range(1, 13):
             levels = _solve_levels(table, n, rng.randrange(2**32))
             while table.has_digit(levels[1][1]):
                 target = rng.randrange(p)
@@ -272,6 +277,24 @@ def test_solve_next_digit_agrees_with_candidate_search():
                 assert _digit(levels[n], i, p) == target
                 if levels[0][1] > 40:
                     break
+
+
+def test_shadow_solve_work_is_pinned(monkeypatch):
+    # the walk down stops at the first tail projection level: on a depth-4
+    # (2,1) table a step makes at most 3 inverse lookups, not one per level,
+    # so T steps make 3T - 3 lookups instead of T(T+1)/2
+    table = random_table(random.Random(7), 2, ScalingClass(2, 1), 4)
+    calls = []
+    inverse = DigitFunctionTable.inverse_value
+    monkeypatch.setattr(DigitFunctionTable, "inverse_value",
+                        lambda self, *args: calls.append(args) or inverse(self, *args))
+    rng = random.Random(11)
+    for T, lookups in ((20, 57), (40, 117), (80, 237)):
+        orbit = perturb_orbit(table, rand_point(rng, 2, T + 4), 1, T, seed=T)
+        calls.clear()
+        result = shadow_locally_scaling(table, orbit, s=0)
+        assert len(calls) == lookups
+        assert result.epsilon.leq_pow(2)
 
 
 def test_wrong_inverse_fails_the_forward_recheck():
