@@ -122,6 +122,8 @@ def _rng_header(seed: int | None) -> dict:
 
 
 def cmd_validate(args) -> dict:
+    if (args.k is None) != (args.m is None):
+        raise _ParseFailure("--k and --m go together: pass both or neither")
     spec = _load_map(args.map)
     klass = ScalingClass(args.k, args.m) if args.k is not None else spec.klass
     if klass is None:
@@ -348,12 +350,8 @@ def cmd_oracle(args) -> dict:
         k, m = table.klass.k, table.klass.m
         sols = brute_shadow_points(table, points, k, m, args.s, args.precision)
         y = result.point
-        agree = bool(sols)
-        for yi in sols:
-            cand = ZpApprox.from_int(yi, int(spec.prime), args.precision)
-            n = min(cand.precision, y.precision)
-            if cand.digits[:n] != y.digits[:n]:
-                agree = False
+        n = min(args.precision, y.precision)
+        agree = bool(sols) and all((yi - y.value) % spec.prime**n == 0 for yi in sols)
         out = {
             "command": "oracle shadow",
             "map": args.map,

@@ -4,10 +4,11 @@ Values are integers with an explicit digit window (capped-absolute
 precision).  A ``ZpApprox`` stores x mod p^N, an element of Z_p known
 modulo p^N.  A ``QpApprox`` stores a window start v, a width N and X in
 [0, p^N): the element p^v X of Q_p known up to O(p^(v+N)), whose digits
-below v are exactly zero.  The base-p ``digits`` are derived from the
-integer on first read and cached; arithmetic never touches them.  Every
-operation returns exactly the digits determined by its inputs, never a
-padded or heuristically rounded value.
+below v are exactly zero.  The integer is the only stored form: the
+base-p ``digits`` are a view computed from it on each read, and
+arithmetic never touches them.  Every operation returns exactly the
+digits determined by its inputs, never a padded or heuristically rounded
+value.
 
 Norms and distances are powers of p and are reported as a :class:`PNorm`,
 which distinguishes the exactly known value p^-e from the certified bound
@@ -21,7 +22,7 @@ All value types are immutable; operations are pure functions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class PadicError(Exception):
@@ -140,18 +141,18 @@ _DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"!")
 
 
 def _checked_digits(prime: int, digits, kind: str):
-    """The validated prime, digit tuple and integer of a public digit constructor."""
+    """The validated prime, digit count and integer of a public digit constructor."""
     p = Prime(prime)
     digits = tuple(digits)
     if not digits:
         raise PrecisionError(f"a {kind} needs at least one digit")
     try:  # for p <= 36, int() checks and converts every digit in one call
-        return p, digits, int(bytes(reversed(digits)).translate(_DIGIT_CHARS), p)
+        return p, len(digits), int(bytes(reversed(digits)).translate(_DIGIT_CHARS), p)
     except (TypeError, ValueError):
         for d in digits:
             if not 0 <= d < p:
                 raise ValueError(f"digit {d} out of range [0, {p})") from None
-        return p, digits, _int_from_digits(digits, p)
+        return p, len(digits), _int_from_digits(digits, p)
 
 
 def _fill(x, *values):
@@ -159,15 +160,6 @@ def _fill(x, *values):
     for set_slot, v in zip(_SLOT_SETTERS[type(x)], values):
         set_slot(x, v)
     return x
-
-
-def _derive_digits(x, name: str):
-    # __getattr__ of the value types: reached only while the digits slot is unfilled
-    if name != "digits":
-        raise AttributeError(f"{type(x).__name__!r} object has no attribute {name!r}")
-    n = x.precision if type(x) is ZpApprox else x.width
-    object.__setattr__(x, "digits", _digits_from_int(x.value, x.prime, n))
-    return x.digits
 
 
 def _val(x: int, p: int, cap: int) -> int:
@@ -193,24 +185,23 @@ def _same_prime(x, y) -> Prime:
 class ZpApprox:
     """An element of Z_p known modulo p^N, stored as the residue ``value``.
 
-    ``digits[i]``, the coefficient of p^i, is derived from ``value`` on first
-    read and cached.  Two values are equal-at-precision iff primes,
-    precisions and values (so all digits) agree.  Negative integers embed
-    via their p-adic complement, e.g. -1 becomes all digits p-1.
+    ``digits[i]``, the coefficient of p^i, is computed from ``value`` on
+    each read; nothing else is stored.  Two values are equal-at-precision
+    iff primes, precisions and values (so all digits) agree.  Negative
+    integers embed via their p-adic complement, e.g. -1 becomes all digits
+    p-1.
     """
 
     prime: Prime
     precision: int
     value: int
-    digits: tuple = field(compare=False, repr=False)
 
     def __init__(self, prime: int, digits) -> None:
-        p, digits, value = _checked_digits(prime, digits, "ZpApprox")
-        _fill(self, p, len(digits), value, digits)
+        _fill(self, *_checked_digits(prime, digits, "ZpApprox"))
 
     @classmethod
     def _of(cls, p: Prime, n: int, value: int) -> "ZpApprox":
-        """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1; no digits."""
+        """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1."""
         return _fill(object.__new__(cls), p, n, value)
 
     @classmethod
@@ -220,7 +211,9 @@ class ZpApprox:
             raise PrecisionError("a ZpApprox needs at least one digit")
         return cls._of(p, precision, value % p**precision)
 
-    __getattr__ = _derive_digits
+    @property
+    def digits(self) -> tuple:
+        return _digits_from_int(self.value, self.prime, self.precision)
 
     def to_int(self) -> int:
         return self.value
@@ -269,7 +262,7 @@ class QpApprox:
     """An element p^v X of Q_p known on the digit window [v, v+N).
 
     ``value`` is X in [0, p^N), with N the ``width``.  ``digits[i]``, the
-    coefficient of p^(v+i), is derived from it on first read and cached.
+    coefficient of p^(v+i), is computed from it on each read.
     Digits below the window are exactly zero; nothing is known from p^(v+N)
     on.  Two values are equal iff prime, window and digits agree.  Canonical
     form has a nonzero leading digit (or an all-zero window, which
@@ -281,15 +274,14 @@ class QpApprox:
     valuation_offset: int
     width: int
     value: int
-    digits: tuple = field(compare=False, repr=False)
 
     def __init__(self, prime: int, valuation_offset: int, digits) -> None:
-        p, digits, value = _checked_digits(prime, digits, "QpApprox")
-        _fill(self, p, valuation_offset, len(digits), value, digits)
+        p, n, value = _checked_digits(prime, digits, "QpApprox")
+        _fill(self, p, valuation_offset, n, value)
 
     @classmethod
     def _of(cls, p: Prime, v: int, n: int, value: int) -> "QpApprox":
-        """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1; no digits."""
+        """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1."""
         return _fill(object.__new__(cls), p, v, n, value)
 
     @classmethod
@@ -303,7 +295,9 @@ class QpApprox:
             raise PrecisionError("a QpApprox needs at least one digit")
         return cls._of(p, v, precision, value % p**precision)
 
-    __getattr__ = _derive_digits
+    @property
+    def digits(self) -> tuple:
+        return _digits_from_int(self.value, self.prime, self.width)
 
     @property
     def window_end(self) -> int:

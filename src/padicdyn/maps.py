@@ -37,6 +37,7 @@ from .core import (
     ZeroAtPrecision,
     ZpApprox,
     _digits_from_int as _decode,
+    _val,
     encode_value,
     inverse_unit,
     mod_zp,
@@ -382,7 +383,7 @@ class ShiftPower(MapSpec):
         self._check_domain(x)
         if x.precision <= self.m:
             raise PrecisionError(f"need more than {self.m} digits to shift by {self.m}")
-        return ZpApprox(x.prime, x.digits[self.m:])
+        return ZpApprox._of(x.prime, x.precision - self.m, x.value // x.prime**self.m)
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out + self.m
@@ -417,12 +418,13 @@ class Tj(MapSpec):
 
     def apply(self, x: ZpApprox) -> ZpApprox:
         self._check_domain(x)
-        n = x.precision
-        n_out = max(min(n, self.j), n - self.m)
+        p, j = x.prime, self.j
+        n_out = max(min(x.precision, j), x.precision - self.m)
         if n_out < 1:
             raise PrecisionError("not enough digits for T_j")
-        out = [x.digits[i] if i < self.j else x.digits[self.m + i] for i in range(n_out)]
-        return ZpApprox(x.prime, tuple(out))
+        if n_out <= j:
+            return ZpApprox._of(p, n_out, x.value % p**n_out)
+        return ZpApprox._of(p, n_out, x.value % p**j + x.value // p**(self.m + j) * p**j)
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out if n_out <= self.j else n_out + self.m
@@ -462,8 +464,8 @@ class Rmap(MapSpec):
         self._check_domain(x)
         if x.precision <= self.m:
             raise PrecisionError("not enough digits for R")
-        if x.digits[0] != self.prime - 1:
-            return ZpApprox(x.prime, x.digits[self.m:])
+        if x.value % self.prime != self.prime - 1:
+            return ZpApprox._of(x.prime, x.precision - self.m, x.value // x.prime**self.m)
         return Tj(self.prime, self.m, 1).apply(x)
 
     def min_input_precision(self, n_out: int) -> int:
@@ -779,13 +781,13 @@ def table_from_spec(spec: MapSpec, depth: int | None = None) -> DigitFunctionTab
     return extract_table(spec, spec.klass, depth)
 
 
-def _eval_prefix(spec: MapSpec, prefix, n_out: int) -> ZpApprox:
-    """Evaluate a Z_p spec at the exact point given by a digit prefix padded
-    with zeros, with enough padding to determine n_out output digits."""
-    need = max(spec.min_input_precision(n_out), len(prefix), 1)
+def _eval_prefix(spec: MapSpec, prefix: int, length: int, n_out: int) -> ZpApprox:
+    """Evaluate a Z_p spec at the exact point whose first ``length`` digits
+    are those of the integer ``prefix`` and whose further digits are zero,
+    with enough zeros to determine n_out output digits."""
+    need = max(spec.min_input_precision(n_out), length, 1)
     for attempt in range(3):
-        digits = tuple(prefix) + (0,) * (need - len(prefix))
-        y = spec.apply(ZpApprox(spec.prime, digits))
+        y = spec.apply(ZpApprox.from_int(prefix, spec.prime, need))
         if y.precision >= n_out:
             return y
         need += n_out - y.precision
@@ -810,25 +812,20 @@ def extract_table(spec: MapSpec, klass: ScalingClass, depth: int, *,
     arities = [k if i < l else k - l + i + 1 for i in range(depth)]
     _check_budget(sum(p**a for a in arities) + (p**L if verify else 0),
                   "table extraction")
-    tables = []
-    for i, a in enumerate(arities):
-        entries = []
-        for idx in range(p**a):
-            y = _eval_prefix(spec, _decode(idx, p, a), i + 1)
-            entries.append(y.digits[i])
-        tables.append(tuple(entries))
-    table = DigitFunctionTable(p, klass, tuple(tables))
+    tables = tuple(tuple(_eval_prefix(spec, idx, a, i + 1).value // p**i % p
+                         for idx in range(p**a)) for i, a in enumerate(arities))
+    table = DigitFunctionTable(p, klass, tables)
     if verify:
         pad_width = max(spec.min_input_precision(depth) - L, 1)
         for idx in range(p**L):
-            digs = _decode(idx, p, L)
-            predicted = table.apply(ZpApprox(p, digs)).digits[:depth]
-            for padding in ((0,) * pad_width, (p - 1,) * pad_width):
-                y = spec.apply(ZpApprox(p, digs + padding))
-                got = y.digits[:depth]
-                if tuple(got) != tuple(predicted[:len(got)]):
-                    bad = next(t for t in range(len(got)) if got[t] != predicted[t])
-                    raise InconsistentScaling(bad, digs, padding)
+            predicted = table.apply(ZpApprox._of(p, L, idx)).value
+            for d in (0, p - 1):
+                pad = d * (p**pad_width - 1) // (p - 1)  # pad_width digits d
+                y = spec.apply(ZpApprox._of(p, L + pad_width, idx + pad * p**L))
+                # the difference's valuation is the first digit that disagrees
+                if diff := (y.value - predicted) % p**min(depth, y.precision):
+                    raise InconsistentScaling(_val(diff, p, 0), _decode(idx, p, L),
+                                              (d,) * pad_width)
     return table
 
 
@@ -842,16 +839,21 @@ def iterate(map_like, n: int, x: ZpApprox) -> ZpApprox:
 
 
 def mahler_coefficients(spec: MapSpec, terms: int, precision: int) -> MahlerSeries:
-    """Mahler coefficients a_0..a_terms of a Z_p spec, exactly mod p^precision."""
+    """Mahler coefficients a_0..a_terms of a Z_p spec, exactly mod p^precision.
+
+    The binomial sums for a_0..a_terms have (terms+1)(terms+2)/2 terms in all;
+    over ``ENTRY_BUDGET`` of them is refused before any evaluation.
+    """
     p = spec.prime
+    if terms < 0:
+        raise ValueError(f"need terms >= 0, got {terms}")
+    _check_budget((terms + 1) * (terms + 2) // 2, "the Mahler binomial sums")
     values = []
     for j in range(terms + 1):
-        prefix = []
-        v = j
-        while v:
-            v, d = divmod(v, p)
-            prefix.append(d)
-        y = _eval_prefix(spec, tuple(prefix), precision)
+        length = 0
+        while p**length <= j:
+            length += 1
+        y = _eval_prefix(spec, j, length, precision)
         values.append(y.truncate(precision).to_int())
     return series_from_values(p, values, precision)
 

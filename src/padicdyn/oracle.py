@@ -9,7 +9,7 @@ enumeration over ``maps.ENTRY_BUDGET`` residues is refused before it starts.
 from __future__ import annotations
 
 from .core import ZpApprox
-from .maps import _check_budget, _decode
+from .maps import _check_budget
 
 
 def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
@@ -25,14 +25,16 @@ def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
 def brute_periodic_point_count(map_like, prime: int, n: int, precision: int) -> int:
     """Count x in Z/p^N with f^n(x) = x on every determined digit."""
     p = prime
+    if precision < 1:
+        raise ValueError(f"need precision >= 1, got {precision}")
     _check_budget(p**precision, "the brute-force periodic-point count")
     count = 0
     for xi in range(p**precision):
-        x = ZpApprox(p, _decode(xi, p, precision))
-        y = x
+        y = ZpApprox.from_int(xi, p, precision)
         for _ in range(n):
             y = map_like.apply(y)
-        if y.digits == x.digits[: y.precision]:
+        # an image longer than x has digits x lacks, so it cannot match
+        if y.precision <= precision and y.value == xi % p**y.precision:
             count += 1
     return count
 
@@ -46,17 +48,20 @@ def brute_shadow_points(map_like, orbit_points, k: int, m: int, s: int,
     determines those digits.  Returns the matching residues as integers.
     """
     p = orbit_points[0].prime
-    want = k + s
+    want, mod = k + s, p ** (k + s)
+    if precision < 1:
+        raise ValueError(f"need precision >= 1, got {precision}")
     _check_budget(p**precision, "the brute-force shadow search")
+    # each orbit point's first k+s digits as a residue; a shorter point matches none
+    targets = [x.value % mod if x.precision >= want else None for x in orbit_points]
     out = []
     for yi in range(p**precision):
-        y = ZpApprox(p, _decode(yi, p, precision))
         ok = True
-        cur = y
-        for x_n in orbit_points:
+        cur = ZpApprox.from_int(yi, p, precision)
+        for target in targets:
             if cur.precision < want:
                 break
-            if cur.digits[:want] != x_n.digits[:want]:
+            if cur.value % mod != target:
                 ok = False
                 break
             if cur.precision - m < want:

@@ -433,6 +433,19 @@ def test_brute_force_oracles_refuse_over_budget():
             call()
 
 
+def test_brute_shadow_points_short_orbit_point_matches_nothing():
+    # y = 1 0 1 ... follows (1 0, 0 1) to k+s = 2 digits; an orbit point
+    # known to 1 digit cannot be matched, and precision 0 is refused
+    shift = table_from_spec(ShiftPower(Prime(2), 1))
+    x0 = ZpApprox(2, (1, 0, 1))
+    assert brute_shadow_points(shift, [x0, ZpApprox(2, (0, 1))], 1, 1, 1, 5) == [5, 13, 21, 29]
+    assert brute_shadow_points(shift, [x0, ZpApprox(2, (0,))], 1, 1, 1, 5) == []
+    for call in (lambda: brute_shadow_points(shift, [x0], 1, 1, 1, 0),
+                 lambda: brute_periodic_point_count(shift, 2, 1, -1)):
+        with pytest.raises(ValueError, match="precision >= 1"):
+            call()
+
+
 def test_brute_counts_raise_the_map_error():
     # the fixed-point count is the period-1 count, and neither rewraps what
     # the map raises into a bare PadicError

@@ -358,6 +358,19 @@ def test_exit_codes(specs, capsys, tmp_path):
         assert main(["oracle", "shadow", "--map", str(shift_path),
                      "--orbit", reindexed("z5", start_index)]) == 3
         assert reason in capsys.readouterr().err
+    # parse error: a scaling class given by only one of --k and --m
+    for option in (["--k", "2"], ["--m", "1"]):
+        assert main(["validate", "--map", str(shift_path)] + option) == 2, option
+        assert "go together" in capsys.readouterr().err
+    # precondition: a brute-force precision below 1, a negative Mahler term
+    # count, and a Mahler series whose binomial sums are over the entry budget
+    for command, reason in (
+            (["oracle", "shadow", "--map", str(shift_path), "--orbit", str(made["z5"]),
+              "--precision", "-1"], "precision >= 1"),
+            (["mahler", "--map", str(shift_path), "--terms", "-1"], "terms >= 0"),
+            (["mahler", "--map", str(shift_path), "--terms", "100000000"], "over the budget")):
+        assert main(command) == 3, command
+        assert reason in capsys.readouterr().err
 
 
 def test_wrong_domain_inputs_exit_3(capsys, tmp_path):

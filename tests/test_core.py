@@ -429,7 +429,7 @@ def test_zp_ops_match_digit_reference(case):
 def test_values_are_immutable():
     product = QpApprox(2, 0, (1,)) * QpApprox(2, 1, (1, 1))
     for x in (ZpApprox.from_int(5, 3, 4), QpApprox(3, -1, (1, 2)), product):
-        assert x.digits  # reading, and so caching, the digits leaves x frozen
+        assert x.digits  # reading the derived digits leaves x frozen
         for name in ("prime", "value", "digits", "precision", "width", "extra"):
             with pytest.raises((AttributeError, TypeError)):
                 setattr(x, name, 1)

@@ -1,5 +1,6 @@
 """Digit-function tables, map evaluation, extraction, iteration, serialization."""
 
+import math
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from padicdyn.maps import (
     GaModZp,
     InconsistentScaling,
     MahlerMap,
+    MapSpec,
     Rmap,
     ScalingClass,
     ShiftPower,
@@ -238,6 +240,36 @@ def test_extract_table_rejects_wrong_class():
         extract_table(ShiftPower(Prime(2), 2), ScalingClass(1, 1), 3)
 
 
+class _ReadsPastArity(MapSpec):
+    """S^1 on Z_3, except that output digit 1 is x_2 + x_reach mod 3.  Class
+    (1, 1) lets digit 1 read x_0..x_2 only.  At depth 3 extraction replays
+    truncations x_0..x_3 with one padding digit x_4 after them."""
+
+    prime = Prime(3)
+
+    def __init__(self, reach):
+        self.reach = reach
+
+    def apply(self, x):
+        d = list(ShiftPower(self.prime, 1).apply(x).digits)
+        if x.precision > self.reach:
+            d[1] = (d[1] + x.digits[self.reach]) % 3
+        return ZpApprox(self.prime, d)
+
+    def min_input_precision(self, n_out):
+        return n_out + 1
+
+
+def test_extract_table_witness_past_the_arity():
+    # the zero-padded evaluations that fill the table see x_3 and x_4 as 0:
+    # x_3 shows at the first truncation with x_3 = 1, x_4 only under the
+    # nonzero padding (2,)
+    for reach, witness in ((3, (1, (0, 0, 0, 1), (0,))), (4, (1, (0, 0, 0, 0), (2,)))):
+        with pytest.raises(InconsistentScaling) as exc:
+            extract_table(_ReadsPastArity(reach), ScalingClass(1, 1), 3)
+        assert (exc.value.digit_index, exc.value.truncation, exc.value.extension) == witness
+
+
 def test_iterate_matches_repeated_eval():
     rng = random.Random(11)
     table = random_table(rng, 2, ScalingClass(2, 1), 8)
@@ -429,6 +461,68 @@ def test_table_builders_refuse_over_budget(monkeypatch):
         with pytest.raises(PrecisionError, match="over the budget"):
             call()
         assert rng.getstate() == state
+
+
+def test_mahler_coefficients_refuse_bad_term_counts(monkeypatch):
+    # a_0..a_terms take (terms+1)(terms+2)/2 binomial-sum terms; over the
+    # budget is refused before the map is evaluated once
+    terms = math.isqrt(2 * ENTRY_BUDGET)
+    assert (terms + 1) * (terms + 2) // 2 > ENTRY_BUDGET
+    monkeypatch.setattr(ShiftPower, "apply", _refuse)
+    shift = ShiftPower(Prime(2), 1)
+    with pytest.raises(PrecisionError, match="over the budget"):
+        mahler_coefficients(shift, terms, 8)
+    with pytest.raises(ValueError, match="terms >= 0"):
+        mahler_coefficients(shift, -1, 8)
+
+
+# S^m, T_j and R as digit-tuple slicing: the definitions the integer maps
+# replaced, kept here as their reference
+def _sliced_shift(p, m, d):
+    if len(d) <= m:
+        raise PrecisionError(f"need more than {m} digits to shift by {m}")
+    return ZpApprox(p, d[m:])
+
+
+def _sliced_tj(p, m, j, d):
+    n_out = max(min(len(d), j), len(d) - m)
+    if n_out < 1:
+        raise PrecisionError("not enough digits for T_j")
+    return ZpApprox(p, tuple(d[i] if i < j else d[m + i] for i in range(n_out)))
+
+
+def _sliced_r(p, m, d):
+    if len(d) <= m:
+        raise PrecisionError("not enough digits for R")
+    if d[0] != p - 1:
+        return ZpApprox(p, d[m:])
+    return _sliced_tj(p, m, 1, d)
+
+
+def _outcome(f, x):
+    try:
+        return f(x)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_integer_maps_match_digit_slicing():
+    # every input while p^n <= 3^8 (all of p = 2 and 3), a seeded sample of
+    # 1000 above it: p = 5 at 6..8 digits in full is about 9 million checks
+    rng = random.Random(17)
+    for p in map(Prime, (2, 3, 5)):
+        pairs = []
+        for m in (1, 2, 3):
+            pairs.append((ShiftPower(p, m).apply, lambda d, m=m: _sliced_shift(p, m, d)))
+            pairs.append((Rmap(p, m).apply, lambda d, m=m: _sliced_r(p, m, d)))
+            pairs += [(Tj(p, m, j).apply, lambda d, m=m, j=j: _sliced_tj(p, m, j, d))
+                      for j in range(4)]
+        for n in range(1, 9):
+            values = range(p**n) if p**n <= 3**8 else rng.sample(range(p**n), 1000)
+            for v in values:
+                x, d = ZpApprox.from_int(v, p, n), _decode(v, p, n)
+                for apply, sliced in pairs:
+                    assert _outcome(apply, x) == _outcome(sliced, d), (apply, d)
 
 
 def test_eval_domain_mismatch():
