@@ -346,7 +346,7 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
         if levels[n][0] != idx % head:
             continue
         seeds.append(_decode(idx, p, K))
-        while levels[0][1] < precision and table.has_digit(levels[1][1]):
+        while levels[0][1] < precision and table.has_digit(levels[0][1] - m):
             i = levels[n][1]
             _solve_next_digit(table, levels, n, i, levels[0][0] // p**i % p)
         points.append(ZpApprox._of(p, levels[0][1], levels[0][0]))

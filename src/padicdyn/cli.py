@@ -325,6 +325,8 @@ def cmd_oracle(args) -> dict:
     for option in needs.get(args.oracle, ()):
         if getattr(args, option) is None:
             raise _ParseFailure(f"oracle {args.oracle} needs --{option}")
+    if args.precision < 1:
+        raise ValueError(f"oracle needs --precision >= 1, got {args.precision}")
     if args.oracle == "fixed-points":
         spec = _load_map(args.map)
         report = fixed_points(spec, precision=args.precision)

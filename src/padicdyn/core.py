@@ -155,10 +155,19 @@ def _checked_digits(prime: int, digits, kind: str):
         return p, len(digits), _int_from_digits(digits, p)
 
 
-def _fill(x, *values):
-    # the slot descriptors set the fields past the frozen dataclass's __setattr__
-    for set_slot, v in zip(_SLOT_SETTERS[type(x)], values):
-        set_slot(x, v)
+def _fill_zp(x, p, n, value):
+    # the slot setters get past the frozen __setattr__; a loop doubles the cost
+    _zp_prime(x, p)
+    _zp_precision(x, n)
+    _zp_value(x, value)
+    return x
+
+
+def _fill_qp(x, p, v, n, value):
+    _qp_prime(x, p)
+    _qp_offset(x, v)
+    _qp_width(x, n)
+    _qp_value(x, value)
     return x
 
 
@@ -197,12 +206,12 @@ class ZpApprox:
     value: int
 
     def __init__(self, prime: int, digits) -> None:
-        _fill(self, *_checked_digits(prime, digits, "ZpApprox"))
+        _fill_zp(self, *_checked_digits(prime, digits, "ZpApprox"))
 
     @classmethod
     def _of(cls, p: Prime, n: int, value: int) -> "ZpApprox":
         """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1."""
-        return _fill(object.__new__(cls), p, n, value)
+        return _fill_zp(object.__new__(cls), p, n, value)
 
     @classmethod
     def from_int(cls, value: int, prime: int, precision: int) -> "ZpApprox":
@@ -277,12 +286,12 @@ class QpApprox:
 
     def __init__(self, prime: int, valuation_offset: int, digits) -> None:
         p, n, value = _checked_digits(prime, digits, "QpApprox")
-        _fill(self, p, valuation_offset, n, value)
+        _fill_qp(self, p, valuation_offset, n, value)
 
     @classmethod
     def _of(cls, p: Prime, v: int, n: int, value: int) -> "QpApprox":
         """Unchecked constructor: ``value`` must lie in [0, p^n), n >= 1."""
-        return _fill(object.__new__(cls), p, v, n, value)
+        return _fill_qp(object.__new__(cls), p, v, n, value)
 
     @classmethod
     def from_zp(cls, x: ZpApprox) -> "QpApprox":
@@ -370,8 +379,10 @@ class QpApprox:
 
 
 # a slots dataclass lists its fields in __slots__ in declaration order
-_SLOT_SETTERS = {cls: tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-                 for cls in (ZpApprox, QpApprox)}
+_zp_prime, _zp_precision, _zp_value = (
+    ZpApprox.__dict__[name].__set__ for name in ZpApprox.__slots__)
+_qp_prime, _qp_offset, _qp_width, _qp_value = (
+    QpApprox.__dict__[name].__set__ for name in QpApprox.__slots__)
 
 
 def norm(x) -> PNorm:

@@ -18,13 +18,16 @@ Solvers:
   so each digit is read from that bijection's inverse, one lookup per
   stored iterate level from f^n down to y (a tail projection passes the
   digit through, and so does every level below it), and re-checked by one
-  forward table read per level.  The solver never materializes the
-  iterate tower; it maintains f^j(y) lazily as digit streams, each a pair
-  (value, length) holding f^j(y) mod p^length, asserting the proof's
-  progress index (y determined through nk-(n-1)l+s-1 after step n) at
-  every step.  The one-digit step, ``_solve_next_digit``, also inverts the
-  isometry onto S^k in :mod:`padicdyn.conjugacy` and extends fixed and
-  periodic points in :mod:`padicdyn.analysis`.
+  forward table read per stored level.  Only the levels from the walk's
+  stop up to f^n gain the digit: the ones below it are projections that
+  nothing reads again, so a digit costs O(depth/m) stream updates, not
+  one per iterate level.  The solver never materializes the iterate
+  tower; it maintains f^j(y) lazily as digit streams, each a pair (value,
+  length) holding f^j(y) mod p^length, asserting the proof's progress
+  index (y determined through nk-(n-1)l+s-1 after step n) at every step.
+  The one-digit step, ``_solve_next_digit``, also inverts the isometry
+  onto S^k in :mod:`padicdyn.conjugacy` and extends fixed and periodic
+  points in :mod:`padicdyn.analysis`.
 
 * ``shadow_lipschitz`` -- a 1-Lipschitz map is shadowed by x_0 itself;
   the certification method for the Lipschitz bound is recorded.
@@ -244,7 +247,8 @@ def _certified(f, f_inv, point, orbit: PseudoOrbit, bound: int, solver: str,
 def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
                       digit_index: int, target: int) -> None:
     """Append to ``levels[0]`` the one digit that makes digit ``digit_index``
-    of f^n equal ``target``, then extend levels 1..n by one digit each.
+    of f^n equal ``target``, then extend by one digit each level that is
+    read again: those from the walk's stop up to n.
 
     ``levels[j]`` is a digit stream (value, length): f^j(levels[0]) modulo
     p^length, with every digit that levels[0] determines, so level j-1 is m
@@ -255,18 +259,25 @@ def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
     (:meth:`DigitFunctionTable.inverse_value`, the position of the wanted
     value in that function's table row).  Lower levels have larger digit
     indices, so the walk stops at the first tail projection: a projection
-    inverts to its target, and so does every level below it.  Each level is
-    then extended by one forward read of its digit function on the level
-    below (a projection level takes the level below's new digit), and the
-    digit is kept only if level n's new digit is ``target``.  Raises
+    inverts to its target, and so does every level below it.  Levels from
+    the walk's stop up to n are then extended by one forward read of their
+    digit function on the level below (a projection level takes the walk's
+    digit), and the digit is kept only if level n's new digit is ``target``.
+
+    Levels 1..j-1 below the walk's stop j are left as they were and are
+    never read again: their digit indices are at least depth + m, and the
+    stop only rises as levels[0] grows.  So a digit writes at most
+    ceil(depth/m) + 2 streams, levels[0] among them, whatever n is; level
+    1 may be stale, so its digit index is read off level 0.  Raises
     :class:`ConstraintUnsolvable` at step ``n``.
     """
-    # level 1 holds the largest digit index, so it runs out of table first
-    if not table.has_digit(levels[1][1]):
-        raise ConstraintUnsolvable(n, levels[1][1], "table depth exhausted")
+    p, m, depth = table.prime, table.klass.m, table.stored_depth
+    # level 1, at digit index levels[0][1] - m, runs out of table first
+    if not table.has_digit(levels[0][1] - m):
+        raise ConstraintUnsolvable(n, levels[0][1] - m, "table depth exhausted")
     if levels[n][1] != digit_index:
         raise PadicError("internal: cascade index drift")
-    depth, inverse = table.stored_depth, table.inverse_value
+    inverse, digit_value = table.inverse_value, table.digit_value
     d, j = target, n
     try:
         while j and levels[j][1] < depth:
@@ -276,11 +287,10 @@ def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
         raise ConstraintUnsolvable(
             n, digit_index, "no admissible digit: a digit function misses "
             "a value, so the table lacks bijectivity") from None
-    p, m, digit_value = table.prime, table.klass.m, table.digit_value
     x, t = levels[0]
     x += d * p**t
     levels[0] = (x, t + 1)
-    for j in range(1, n + 1):
+    for j in range(j or 1, n + 1):
         y, i = levels[j]
         if i < depth:
             # digit function i reads input digits 0..m+i, now all of x

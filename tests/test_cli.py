@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import shlex
+import warnings
 
 import pytest
 
@@ -251,6 +252,12 @@ def test_exit_codes(specs, capsys, tmp_path):
                     ["oracle", "fixed-points"]):
         assert main(command) == 2, command
         capsys.readouterr()
+    # precondition: an oracle precision below 1, refused by name before any draw
+    for n in ("-2", "0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "arith", "--precision", n]) == 3, n
+        assert "needs --precision >= 1" in capsys.readouterr().err, n
     # precondition: a period below 1
     for n in ("0", "-2"):
         assert main(["fixed-points", "--map", str(shift_path), "--iterate", n]) == 3, n

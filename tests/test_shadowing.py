@@ -5,6 +5,8 @@ import random
 import pytest
 
 from padicdyn import shadowing
+from padicdyn.analysis import periodic_points
+from padicdyn.conjugacy import invert_shift_conjugacy
 from padicdyn.core import (
     PadicError,
     PrecisionError,
@@ -226,7 +228,8 @@ def test_shadow_detects_lying_residuals():
 
 def _brute_next_digits(table, levels, n, target):
     """Every digit c whose cascade through the forward digit functions of
-    levels 1..n gives ``target``: the p-candidate search, as a reference."""
+    levels 1..n gives ``target``: the p-candidate search, as a reference.
+    ``levels`` must be a whole tower, as :func:`_tower` builds it."""
     p = table.prime
     found = []
     for c in range(p):
@@ -239,17 +242,22 @@ def _brute_next_digits(table, levels, n, target):
     return found
 
 
-def _solve_levels(table, n, seed):
-    """levels[0] a random start with the n * m + l digits the n-th level
-    needs before its first solve, and levels 1..n its iterates, each a digit
-    stream (value, length)."""
-    rng = random.Random(seed)
-    k, m = table.klass.k, table.klass.m
-    p, t = table.prime, n * m + k - m
-    levels = [(sum(rng.randrange(p) * p**i for i in range(t)), t)]
+def _tower(table, level0, n):
+    """The digit stream ``level0`` and its iterates 1..n, each a stream
+    (value, length) computed afresh by the forward kernel."""
+    levels = [level0]
     for j in range(n):
         levels.append(table.output_value(*levels[j], 0, 0))
     return levels
+
+
+def _solve_levels(table, n, seed):
+    """levels[0] a random start with the n * m + l digits the n-th level
+    needs before its first solve, and levels 1..n its iterates."""
+    rng = random.Random(seed)
+    k, m = table.klass.k, table.klass.m
+    p, t = table.prime, n * m + k - m
+    return _tower(table, (sum(rng.randrange(p) * p**i for i in range(t)), t), n)
 
 
 def _digit(stream, i, p):
@@ -264,17 +272,27 @@ def test_solve_next_digit_agrees_with_candidate_search():
                            (3, (3, 2), True), (5, (2, 2), False), (5, (1, 1), True)]:
         table = random_table(rng, p, ScalingClass(*klass), klass[0] + 3,
                              tail_projection=tail)
+        m, depth = table.klass.m, table.stored_depth
         # deep levels sit in the tail projection region when there is one
         for n in range(1, 13):
             levels = _solve_levels(table, n, rng.randrange(2**32))
-            while table.has_digit(levels[1][1]):
+            while table.has_digit(levels[0][1] - m):
+                # the reference reads only level 0, never the solver's streams
+                tower = _tower(table, levels[0], n)
                 target = rng.randrange(p)
-                want = _brute_next_digits(table, levels, n, target)
+                want = _brute_next_digits(table, tower, n, target)
                 assert len(want) == 1
-                i = levels[n][1]
+                i = tower[n][1]
+                # the walk stops at the highest level past the stored depth
+                stop = max([j for j in range(1, n + 1) if tower[j][1] >= depth],
+                           default=0)
                 _solve_next_digit(table, levels, n, i, target)
                 assert _digit(levels[0], levels[0][1] - 1, p) == want[0]
                 assert _digit(levels[n], i, p) == target
+                tower = _tower(table, levels[0], n)
+                assert levels[stop or 1:] == tower[stop or 1:]
+                # the levels below the stop are never read again
+                levels[1:stop] = [None] * len(levels[1:stop])
                 if levels[0][1] > 40:
                     break
 
@@ -295,6 +313,65 @@ def test_shadow_solve_work_is_pinned(monkeypatch):
         result = shadow_locally_scaling(table, orbit, s=0)
         assert len(calls) == lookups
         assert result.epsilon.leq_pow(2)
+
+
+class _CountingLevels(list):
+    """Digit streams that count the levels written into them."""
+
+    writes = 0
+
+    def __setitem__(self, j, stream):
+        self.writes += 1
+        super().__setitem__(j, stream)
+
+
+def test_solve_step_writes_are_pinned():
+    # a digit writes level 0 and the levels from the walk's stop up to n, so
+    # at most ceil(D/m) + 2 streams however high n is, not all n + 1; on a
+    # depth-4 (2,1) table at n = 40 the first digits write 5, 4, 3, then 2
+    table = random_table(random.Random(7), 2, ScalingClass(2, 1), 4)
+    n = 40
+    levels = _CountingLevels(_solve_levels(table, n, 13))
+    rng = random.Random(17)
+    per_digit = []
+    for _ in range(30):
+        before = levels.writes
+        _solve_next_digit(table, levels, n, levels[n][1], rng.randrange(2))
+        per_digit.append(levels.writes - before)
+    assert max(per_digit) <= -(-table.stored_depth // table.klass.m) + 2
+    assert per_digit[:4] == [5, 4, 3, 2]
+    assert sum(per_digit) == 66
+    assert levels[n] == _tower(table, levels[0], n)[n]
+
+
+def test_depth_verdicts_on_a_table_without_tail():
+    # without a projection tail no level goes stale: level 1 runs out of
+    # table first, and the solve step refuses the digit at index D (the
+    # stored depth).  The shadow and the conjugacy inverse raise there, and
+    # the periodic points stop at D + m digits, or at their K-digit seeds
+    for p, klass, depth, shadow_step, inverse_step in [
+            (2, (2, 1), 6, 6, None), (3, (3, 2), 5, 3, None),
+            (2, (1, 1), 5, 6, 6), (5, (2, 2), 3, 2, 2)]:
+        rng = random.Random(p * 100 + depth)
+        table = random_table(rng, p, ScalingClass(*klass), depth,
+                             tail_projection=False)
+        m, l = table.klass.m, table.klass.l
+        x0 = rand_point(rng, p, 40)
+        # the orbit comes from the same table with its tail, so it is long
+        tailed = DigitFunctionTable(p, table.klass, table.tables, tail_projection=True)
+        orbit = perturb_orbit(tailed, x0, table.klass.delta_exponent(0), 12, seed=3)
+        with pytest.raises(ConstraintUnsolvable, match="table depth exhausted") as err:
+            shadow_locally_scaling(table, orbit, s=0)
+        assert (err.value.step, err.value.digit_index) == (shadow_step, depth)
+        if inverse_step is not None:
+            with pytest.raises(ConstraintUnsolvable, match="table depth exhausted") as err:
+                invert_shift_conjugacy(table, x0)
+            assert (err.value.step, err.value.digit_index) == (inverse_step, depth)
+        for period in (1, 2, 3):
+            report = periodic_points(table, period, precision=30)
+            assert report.count
+            assert {x.precision for x in report.points} == {
+                max(depth + m, period * m + l)}
 
 
 def test_wrong_inverse_fails_the_forward_recheck():
