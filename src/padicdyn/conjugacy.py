@@ -21,7 +21,8 @@ recomputable:
 * ``qp_affine_conjugacy`` -- a map with certified exact dilation p^k on Q_p
   is conjugate to f_{1/p^k, 0} by the isometry whose digit block j is the
   first k digits of g^j(x); backward blocks vanish because the backward
-  orbit contracts to the fixed point, whose low digits are zero.
+  orbit contracts to the fixed point, whose low digits are zero.  The
+  exponent, translation, inverse and steps are computed once per map.
 """
 
 from __future__ import annotations
@@ -382,6 +383,65 @@ def _affine_translation(g: AffineQp) -> QpApprox:
     return inverse_unit(one - g.a) * g.b
 
 
+def _qp_affine_h(g: MapSpec, horizon: int):
+    """(k, translation or None, h): the certified exponent (0 refused first),
+    b/(1-a), a^-1 or g^-1 and both steps are computed once; h walks x's orbit."""
+    k = certify_expansion(g)
+    if k == 0:
+        raise CertificationError("||a|| = 1 is not an exact dilation or contraction")
+    K = abs(k)
+    p = g.prime
+    translation = None
+    if isinstance(g, AffineQp):
+        if g.b.value:
+            translation = _affine_translation(g)
+        a, a_inv = g.a, inverse_unit(g.a)
+        if k > 0:
+            fwd_step, bwd_step = (lambda z: a * z), (lambda z: a_inv * z)
+        else:
+            fwd_step, bwd_step = (lambda z: a_inv * z), (lambda z: a * z)
+    else:
+        g_inv = g.inverse_spec()
+        fwd, bwd = (g, g_inv) if k > 0 else (g_inv, g)
+        fwd_step, bwd_step = fwd.apply, bwd.apply
+    q = p**K
+
+    def h(x: QpApprox) -> QpApprox:
+        if translation is not None:
+            x = x - translation
+        blocks: dict[int, int] = {}
+        cur = x
+        j = 0
+        while j <= horizon and cur.window_end >= K:
+            blocks[j] = mod_zp(cur).value % q
+            cur = fwd_step(cur)
+            j += 1
+        if not blocks:
+            raise PrecisionError("window too short to read even the 0-th block")
+        j_max = max(blocks)
+
+        cur = x
+        j = 0
+        while True:
+            cur = bwd_step(cur)
+            j -= 1
+            if cur.norm().leq_pow(K):
+                # contracted into p^K Z_p: this and every earlier block is zero
+                break
+            if j < -horizon:
+                raise CertificationError(
+                    "backward blocks did not vanish within the horizon budget")
+            if cur.window_end < K:
+                raise PrecisionError("window too short to read a backward block")
+            blocks[j] = mod_zp(cur).value % q
+        j_min = min(blocks)
+
+        value = sum(block * q ** (jj - j_min) for jj, block in blocks.items())
+        return QpApprox.from_int(value, p, (j_max - j_min + 1) * K, j_min * K).normalize()
+
+    return k, translation, h
+
+
 def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
     """h(x) for a certified exact dilation or contraction on Q_p.
 
@@ -393,64 +453,15 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
     translated by its fixed point b/(1-a) (so the orbit iteration is a pure
     scalar multiplication and the backward fixed point is 0).
     """
-    k = certify_expansion(g)
-    if k == 0:
-        raise CertificationError("||a|| = 1 is not an exact dilation or contraction")
-    K = abs(k)
-    p = g.prime
-    if isinstance(g, AffineQp):
-        if g.b.value:
-            x = x - _affine_translation(g)
-        a, a_inv = g.a, inverse_unit(g.a)
-        if k > 0:
-            fwd_step, bwd_step = (lambda z: a * z), (lambda z: a_inv * z)
-        else:
-            fwd_step, bwd_step = (lambda z: a_inv * z), (lambda z: a * z)
-    else:
-        g_inv = g.inverse_spec()
-        fwd, bwd = (g, g_inv) if k > 0 else (g_inv, g)
-        fwd_step, bwd_step = fwd.apply, bwd.apply
-
-    q = p**K
-    blocks: dict[int, int] = {}
-    cur = x
-    j = 0
-    while j <= horizon and cur.window_end >= K:
-        blocks[j] = mod_zp(cur).value % q
-        cur = fwd_step(cur)
-        j += 1
-    if not blocks:
-        raise PrecisionError("window too short to read even the 0-th block")
-    j_max = max(blocks)
-
-    cur = x
-    j = 0
-    while True:
-        cur = bwd_step(cur)
-        j -= 1
-        if cur.norm().leq_pow(K):
-            # contracted into p^K Z_p: this and every earlier block is zero
-            break
-        if j < -horizon:
-            raise CertificationError(
-                "backward blocks did not vanish within the horizon budget")
-        if cur.window_end < K:
-            raise PrecisionError("window too short to read a backward block")
-        blocks[j] = mod_zp(cur).value % q
-    j_min = min(blocks)
-
-    h = sum(block * q ** (jj - j_min) for jj, block in blocks.items())
-    return QpApprox.from_int(h, p, (j_max - j_min + 1) * K, j_min * K).normalize()
+    return _qp_affine_h(g, horizon)[2](x)
 
 
 def qp_affine_conjugacy_map(g: MapSpec, horizon: int) -> ConjugacyMap:
-    """The isometry conjugating a certified ||a|| != 1 map to f_{1/p^k, 0}."""
-    k = certify_expansion(g)
-    translation = None
-    if isinstance(g, AffineQp) and g.b.value:
-        translation = _affine_translation(g)
+    """The isometry conjugating a certified ||a|| != 1 map to f_{1/p^k, 0};
+    the map's constants are computed once, not per point."""
+    k, translation, h = _qp_affine_h(g, horizon)
     return ConjugacyMap(
-        forward=lambda x: qp_affine_conjugacy(g, x, horizon),
+        forward=h,
         tag="qp-affine",
         isometry="proven-by-construction",
         details={

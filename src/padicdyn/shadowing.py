@@ -40,7 +40,9 @@ Solvers:
 * ``shadow_dilatation`` -- for a certified expansion by p^k, iterate the
   sequence-space contraction Phi((y_n)) = (g^-1(x_{n+1}+y_{n+1}) - x_n)
   from the zero sequence; each sweep contracts corrections by p^-k, and
-  the fixed point's 0-entry corrects x_0 into a true orbit.
+  the fixed point's 0-entry corrects x_0 into a true orbit.  An entry is
+  recomputed only when its input entry changed in the previous sweep, so
+  a window of n+1 entries costs at most n(n+1)/2 applications of g^-1.
 
 Every solver verifies its point with one two-sided check, ``_certified``:
 forward through f, backward through f^-1, every distance against the
@@ -144,10 +146,21 @@ class PseudoOrbit:
         return True
 
 
+def _random_digits(rng, p: int, n: int) -> int:
+    """n digits as n ``rng.randrange(p)`` calls draw them (CPython's rejection
+    loop on getrandbits), as one integer with digit i at p^i."""
+    k, getrandbits, value, place = p.bit_length(), rng.getrandbits, 0, 1
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= p:
+            r = getrandbits(k)
+        value, place = value + r * place, place * p
+    return value
+
+
 def _random_zp_residual(rng, p: int, precision: int, delta_exp: int) -> ZpApprox:
     zeros = min(max(delta_exp, 0), precision)
-    digits = (0,) * zeros + tuple(rng.randrange(p) for _ in range(precision - zeros))
-    return ZpApprox(p, digits)
+    return ZpApprox._of(p, precision, _random_digits(rng, p, precision - zeros) * p**zeros)
 
 
 def perturb_orbit(map_like, x0, delta_exponent: int, steps: int, seed: int,
@@ -173,8 +186,8 @@ def perturb_orbit(map_like, x0, delta_exponent: int, steps: int, seed: int,
     if isinstance(x0, ZpApprox):
         draw = lambda fx: _random_zp_residual(rng, p, fx.precision, delta_exponent)
     else:
-        draw = lambda fx: QpApprox(p, delta_exponent,
-                                   tuple(rng.randrange(p) for _ in range(x0.width)))
+        draw = lambda fx: QpApprox._of(p, delta_exponent, x0.width,
+                                       _random_digits(rng, p, x0.width))
     points, residuals = [x0], []
     for _ in range(steps):
         fx = map_like.apply(points[-1])
@@ -491,9 +504,12 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     Iterates Phi((y_n)) = (g^-1(x_{n+1} + y_{n+1}) - x_n) from the zero
     sequence on the forward window; every sweep shrinks the correction
     sup-norm by at least p^-k (asserted), so the iteration reaches the
-    precision floor in about window-width/k sweeps.  The resulting point
-    x_0 + y*_0 is verified against the orbit in both directions; the
-    backward bound comes from g^-1 being a p^-k contraction.
+    precision floor in about window-width/k sweeps.  Phi is triangular:
+    entry n reads only entry n+1, so a sweep recomputes entry n only when
+    entry n+1 changed in the previous sweep, and a window of n+1 entries
+    costs at most n(n+1)/2 applications of g^-1 over all sweeps.  The
+    resulting point x_0 + y*_0 is verified against the orbit in both
+    directions; the backward bound comes from g^-1 being a p^-k contraction.
     """
     k = certify_expansion(g)
     if k < 1:
@@ -505,6 +521,7 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     width = max(x.width for x in orbit.points)
     zero = QpApprox(p, eps_exp, (0,) * width)
     ys = [zero] * (fwd_last + 1)
+    moved = [True] * (fwd_last + 1)  # entry n changed in the last sweep
 
     # Phi is triangular (entry n reads only entry n+1), so the fixed point of
     # the finite window is reached exactly after fwd_last+1 sweeps; pending
@@ -514,20 +531,20 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     iterations = 0
     converged = False
     while iterations < max_iterations:
-        new = []
-        for n in range(fwd_last + 1):
-            if n + 1 <= fwd_last:
-                val = g_inv.apply(orbit.point(n + 1) + ys[n + 1]) - orbit.point(n)
-            else:
-                val = zero
-            if val.norm().gt_pow(eps_exp):
-                raise CertificationError(
-                    f"Phi left the epsilon ball at index {n}: the certified "
-                    f"expansion constant is violated")
-            new.append(val)
-        corr = pnorm_max(distance(a, b) for a, b in zip(ys, new))
-        fixed = all(u == v for u, v in zip(ys, new))
-        ys = new
+        dists = []
+        for n in range(fwd_last + 1):  # ascending: ys[n+1] is the last sweep's
+            old = ys[n]
+            moved[n] = n < fwd_last and moved[n + 1]
+            if moved[n]:
+                ys[n] = g_inv.apply(orbit.point(n + 1) + ys[n + 1]) - orbit.point(n)
+                if ys[n].norm().gt_pow(eps_exp):
+                    raise CertificationError(
+                        f"Phi left the epsilon ball at index {n}: the certified "
+                        f"expansion constant is violated")
+                moved[n] = ys[n] != old
+            # an unchanged entry's distance to itself is a bound at its window end
+            dists.append(distance(old, ys[n]) if moved[n] else PNorm(old.window_end, exact=False))
+        corr = pnorm_max(dists)
         iterations += 1
         if corr.exact:
             if correction_exponents and corr.exponent < correction_exponents[-1] + k:
@@ -536,7 +553,7 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
                     f"{correction_exponents[-1]} -> {corr.exponent}")
             correction_exponents.append(corr.exponent)
         floor = max(v.window_end for v in ys)
-        if (fixed or iterations >= fwd_last + 1
+        if (not any(moved) or iterations >= fwd_last + 1
                 or eps_exp + k * (iterations + 1) >= floor):
             converged = True
             break

@@ -1,0 +1,62 @@
+"""The full-sweep dilatation shadow: a reference for the sweep that skips.
+
+``shadow_dilatation`` recomputes entry n of a sweep only when entry n+1
+changed in the sweep before.  This is the loop it replaced, kept as the
+tests' reference: every sweep applies g^-1 to every entry of the forward
+window again and compares the whole new sequence with the old one.  The
+module is not collected by pytest (no ``test_`` prefix); test modules
+import it by name, since pytest puts their own directory on ``sys.path``.
+"""
+
+from padicdyn import shadowing
+from padicdyn.core import PadicError, QpApprox, distance, pnorm_max
+from padicdyn.shadowing import CertificationError, certify_expansion
+
+
+def full_sweep_dilatation(g, orbit, *, max_iterations: int = 64):
+    """:func:`padicdyn.shadowing.shadow_dilatation`, every entry every sweep."""
+    k = certify_expansion(g)
+    if k < 1:
+        raise CertificationError(f"not a dilatation: certified constant p^{k}")
+    g_inv = g.inverse_spec()
+    p = g.prime
+    eps_exp = orbit.certified_delta.exponent
+    fwd_last = orbit.end_index
+    width = max(x.width for x in orbit.points)
+    zero = QpApprox(p, eps_exp, (0,) * width)
+    ys = [zero] * (fwd_last + 1)
+
+    correction_exponents = []
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        new = []
+        for n in range(fwd_last + 1):
+            if n + 1 <= fwd_last:
+                val = g_inv.apply(orbit.point(n + 1) + ys[n + 1]) - orbit.point(n)
+            else:
+                val = zero
+            if val.norm().gt_pow(eps_exp):
+                raise CertificationError(
+                    f"Phi left the epsilon ball at index {n}: the certified "
+                    f"expansion constant is violated")
+            new.append(val)
+        corr = pnorm_max(distance(a, b) for a, b in zip(ys, new))
+        fixed = all(u == v for u, v in zip(ys, new))
+        ys = new
+        iterations += 1
+        if corr.exact:
+            if correction_exponents and corr.exponent < correction_exponents[-1] + k:
+                raise CertificationError(
+                    f"correction decayed by less than p^-{k}: "
+                    f"{correction_exponents[-1]} -> {corr.exponent}")
+            correction_exponents.append(corr.exponent)
+        floor = max(v.window_end for v in ys)
+        if (fixed or iterations >= fwd_last + 1
+                or eps_exp + k * (iterations + 1) >= floor):
+            converged = True
+            break
+    return shadowing._certified(
+        g, g_inv, orbit.point(0) + ys[0], orbit, eps_exp, "dilatation",
+        {"expansion_exponent": k, "iterations": iterations, "converged": converged,
+         "correction_exponents": tuple(correction_exponents)}, PadicError)

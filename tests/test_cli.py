@@ -378,6 +378,17 @@ def test_exit_codes(specs, capsys, tmp_path):
             (["mahler", "--map", str(shift_path), "--terms", "100000000"], "over the budget")):
         assert main(command) == 3, command
         assert reason in capsys.readouterr().err
+    # verification: a unit a is neither a dilation nor a contraction, the
+    # translation z -> z + 2 (a = 1, b != 0) included, which is refused before
+    # its fixed point b/(1-a) is formed
+    unit_path = tmp_path / "unit.json"
+    for a, b in ((1, 2), (2, 2), (2, 0)):
+        p3 = Prime(3)
+        save_spec(AffineQp(QpApprox(p3, 0, (a,) + (0,) * 19),
+                           QpApprox(p3, 0, (b,) + (0,) * 19)), unit_path)
+        assert main(["conjugate", "--map", str(unit_path),
+                     "--constructor", "qp-affine"]) == 4, (a, b)
+        assert "is not an exact dilation or contraction" in capsys.readouterr().err
 
 
 def test_wrong_domain_inputs_exit_3(capsys, tmp_path):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from padicdyn.core import PNorm, PrecisionError, Prime, QpApprox, ZpApprox, distance
+from padicdyn import conjugacy
+from padicdyn.core import PadicError, PNorm, PrecisionError, Prime, QpApprox, ZpApprox, distance
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
@@ -363,6 +364,69 @@ def test_qp_affine_rejects_isometry():
     g = AffineQp(a, zero_q(p, 20))
     with pytest.raises(CertificationError):
         qp_affine_conjugacy(g, QpApprox(p, 0, (1, 2, 0, 1)), 6)
+
+
+def _qp_affine_maps():
+    """Affine dilations and contractions with and without b, each also as a
+    one-part composition (which takes the generic inverse route)."""
+    for p_int, val in ((2, -1), (3, -2), (2, 1), (3, 2)):
+        p = Prime(p_int)
+        a = QpApprox(p, val, (1, 1) + (0,) * 28)
+        for b in (zero_q(p), QpApprox(p, 0, (1, p_int - 1) + (0,) * 28)):
+            g = AffineQp(a, b)
+            yield g
+            yield Compose((g,))
+
+
+def _h_outcome(h, x):
+    try:
+        return h(x)
+    except PadicError as exc:
+        return type(exc), str(exc)
+
+
+def test_qp_affine_map_matches_the_per_point_conjugacy():
+    # the map computes its constants once; its h(x) must equal the public
+    # per-point function, which builds them for each call, errors included
+    rng = random.Random(20)
+    for g in _qp_affine_maps():
+        p = g.prime
+        for horizon in (4, 10):
+            cm = qp_affine_conjugacy_map(g, horizon)
+            for _ in range(12):
+                x = QpApprox(p, rng.randrange(-3, 2),
+                             tuple(rng.randrange(p) for _ in range(rng.randrange(2, 14))))
+                assert _h_outcome(cm, x) == _h_outcome(
+                    lambda x: qp_affine_conjugacy(g, x, horizon), x)
+
+
+def test_qp_affine_map_constants_are_computed_once(monkeypatch):
+    calls = {"inverse_unit": 0, "certify_expansion": 0}
+
+    def counted(name):
+        real = getattr(conjugacy, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(conjugacy, name, counted(name))
+    rng = random.Random(21)
+    for g in _qp_affine_maps():
+        p = g.prime
+        xs = [QpApprox(p, rng.randrange(-2, 2), tuple(rng.randrange(p) for _ in range(12)))
+              for _ in range(8)]
+        # an affine map inverts a, and b/(1-a) inverts 1-a; a composition
+        # inverts through its own parts
+        inverses = 0 if isinstance(g, Compose) else 1 + (g.b.value != 0)
+        for count in (1, 8):
+            calls.update(inverse_unit=0, certify_expansion=0)
+            cm = qp_affine_conjugacy_map(g, 10)
+            for x in xs[:count]:
+                _h_outcome(cm, x)
+            assert calls == {"inverse_unit": inverses, "certify_expansion": 1}, (g, count)
 
 
 # ---------------------------------------------------------- verification

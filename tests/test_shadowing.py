@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from dilatation_reference import full_sweep_dilatation
 
 from padicdyn import shadowing
 from padicdyn.analysis import periodic_points
@@ -655,6 +656,111 @@ def test_certificate_walk_checks_backward_steps(monkeypatch):
             with pytest.raises(PadicError, match="internal: .* step -1") as exc:
                 solve()
         assert exc.type is PadicError
+
+
+class _Rewired:
+    """``base`` with a stated expansion exponent or a replaced inverse."""
+
+    def __init__(self, base, *, k=None, inverse=None):
+        self.base, self.k, self.inverse, self.prime = base, k, inverse, base.prime
+
+    def apply(self, x):
+        return self.base.apply(x)
+
+    def expansion_exponent(self, sample):
+        return self.base.expansion_exponent(sample) if self.k is None else self.k
+
+    def inverse_spec(self):
+        return self.base.inverse_spec() if self.inverse is None else self.inverse
+
+
+class _Counting:
+    """``base`` counting its applications."""
+
+    def __init__(self, base):
+        self.base, self.prime, self.calls = base, base.prime, 0
+
+    def apply(self, x):
+        self.calls += 1
+        return self.base.apply(x)
+
+
+def _dilatation_outcome(solve, g, orbit, **kw):
+    try:
+        r = solve(g, orbit, **kw)
+    except PadicError as exc:
+        return type(exc), str(exc)
+    return r.point, r.epsilon, r.step_distances, r.start_index, r.details
+
+
+def test_dilatation_matches_full_sweep_reference():
+    # a sweep that recomputes only the entries whose input changed must give
+    # the full sweep's point, distances, details and errors: on two-sided,
+    # back-only, forward-only and true orbits, with a sweep budget too small
+    # to converge, a planted wrong inverse, an overstated exponent and a
+    # contraction stated as a dilatation
+    seen = set()
+    cases = 0
+    for p in (2, 3, 5, 7):
+        P = Prime(p)
+        for k in (1, 2, 3):
+            for seed in range(4):
+                rng = random.Random(1000 * p + 10 * k + seed)
+                a = QpApprox(P, -k, (rng.randrange(1, p),)
+                             + tuple(rng.randrange(p) for _ in range(29)))
+                b = QpApprox(P, 0, tuple(rng.randrange(p) for _ in range(30)))
+                spec = AffineQp(a, b)
+                shifted = _Shifted(spec.inverse_spec(), QpApprox(P, 3, (1,) + (0,) * 20))
+                x0 = QpApprox(P, rng.randrange(-2, 1),
+                              tuple(rng.randrange(p) for _ in range(rng.randrange(8, 24))))
+                runs = []
+                for back, steps, delta in ((4, 6, 2), (0, 8, 3), (5, 0, 2), (3, 5, 99)):
+                    orbit = perturb_orbit(spec, x0, delta, steps, seed, back=back)
+                    runs += [(spec, orbit, 64), (spec, orbit, 2),
+                             (_Rewired(spec, inverse=shifted), orbit, 64),
+                             (_Rewired(spec, k=k + 1), orbit, 64)]
+                contraction = AffineQp(QpApprox(P, k, (1,) + (0,) * 29), b)
+                runs.append((_Rewired(contraction, k=k),
+                             perturb_orbit(contraction, x0, 2, 4, seed, back=2), 64))
+                for g, orbit, max_iterations in runs:
+                    got, want = (_dilatation_outcome(solve, g, orbit,
+                                                     max_iterations=max_iterations)
+                                 for solve in (shadow_dilatation, full_sweep_dilatation))
+                    assert got == want
+                    cases += 1
+                    seen.add(got[1].split(" ")[0] if got[0] in (CertificationError, PadicError)
+                             else f"converged={got[4]['converged']}")
+    assert cases == 816  # on 240 orbits
+    assert seen == {"converged=True", "converged=False", "Phi", "correction", "internal:"}
+
+
+def test_dilatation_sweep_work_is_pinned():
+    # entry n is recomputed only when entry n+1 changed: a forward window
+    # x_0..x_8 costs 8 + 7 + ... + 1 = 36 applications of g^-1 over its 9
+    # sweeps, where the full sweep applies it 9 * 8 = 72 times.  The orbit is
+    # forward-only, so the certificate walk applies g^-1 nowhere.
+    p = Prime(3)
+    spec = AffineQp(QpApprox(p, -1, (2,) + (0,) * 29), QpApprox(p, 0, (1, 2) + (0,) * 28))
+    x0 = QpApprox(p, -1, tuple(random.Random(23).randrange(3) for _ in range(24)))
+    orbit = perturb_orbit(spec, x0, 2, 8, seed=4)
+    for solve, applications in ((shadow_dilatation, 36), (full_sweep_dilatation, 72)):
+        g_inv = _Counting(spec.inverse_spec())
+        res = solve(_Rewired(spec, inverse=g_inv), orbit)
+        assert res.details["iterations"] == 9 and res.details["converged"]
+        assert g_inv.calls == applications
+
+
+def test_random_digits_draw_as_randrange_does():
+    # a residual's digits come as one integer, drawn exactly as that many
+    # rng.randrange(p) calls draw them, so every seeded orbit is unchanged
+    for p in (2, 3, 5, 7, 11, 13, 257):
+        for seed in range(200):
+            n = seed % 41
+            ours, theirs = random.Random(seed), random.Random(seed)
+            value = shadowing._random_digits(ours, p, n)
+            digits = [theirs.randrange(p) for _ in range(n)]
+            assert value == sum(d * p**i for i, d in enumerate(digits))
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_orbit_file_round_trip(tmp_path):
