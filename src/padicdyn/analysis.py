@@ -5,8 +5,9 @@ Certifying a scaling class means checking the exact norm equality
 expansivity means watching distinct truncations separate beyond p^-k under
 iteration.  Both run exhaustively at desk scale and by seeded stratified
 sampling above it, and both report witnesses rather than booleans alone.
-At desk scale the scaling check runs per residue class mod p^j, not per
-pair; only a failed check walks the pairs, for the first violating one.
+At desk scale the scaling check reads the map's ``images`` once and runs
+per residue class mod p^j, top-down in O(p^N), not per pair; only a failed
+check walks the pairs, for the first violating one.
 
 Fixed and periodic points are counted by the seed-constraint argument, not
 root finding: a point of period dividing n is determined by its first
@@ -84,20 +85,22 @@ def _scales_per_class(values: list, p: int, N: int, k: int, m: int) -> bool:
     has images at distance exactly p^-(j-m); ``values[x]`` is the image of x,
     all at one output precision.
 
-    Inside each class c mod p^j that holds iff the images agree mod p^(j-m)
-    and their digit j-m depends only on x mod p^(j+1) and takes p distinct
-    values on the p subclasses c + d p^j: any two of the non-empty
-    subclasses need disjoint digit sets in a p-letter alphabet.  A digit
+    That holds iff the images mod p^(j-m+1) depend only on x mod p^(j+1),
+    j in [k-1, N-m), and the p subclasses c + d p^j of each class c mod p^j,
+    j in [k, N-m), take p distinct values at digit j-m.  Top-down, stratum j
+    reduces the list stratum j+1 kept, so all strata cost O(p^N).  A digit
     beyond the output precision reads 0 everywhere, so that stratum fails.
     """
-    for j in range(k, N - m):
-        s, pj = p ** (j - m), p**j
-        low = [v % (p * s) for v in values]  # image digits 0..j-m
-        head = low[: p * pj]
-        if low != head * p ** (N - j - 1):
+    head = values
+    for j in range(N - m - 1, k - 2, -1):
+        size, mod, pj = p ** (j + 1), p ** (j - m + 1), p**j
+        low = [v % mod for v in head]
+        head = low[:size]
+        if low != head * (len(low) // size):
             return False
-        subclasses = zip(*(head[d * pj:(d + 1) * pj] for d in range(p)))
-        if any(sorted(t) != list(range(t[0] % s, p * s, s)) for t in subclasses):
+        # images mod p^(j-m) depend on x mod p^j (checked at j-1), so p
+        # distinct images in a class are p distinct digits j-m
+        if j >= k and len({h * pj + x % pj for x, h in enumerate(head)}) < size:
             return False
     return True
 
@@ -108,11 +111,11 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     """Check ||f(x)-f(y)|| = p^m ||x-y|| on pairs with distance p^-j, j in [k, N-m).
 
     Exhaustive over all pairs of N-digit truncations when p^N is small: the
-    p^N images are checked per residue class mod p^j, in O(N p^N), and a
-    verified report counts every pair of the strata.  When that check fails,
-    or the images come back at mixed output precisions, the pairs are walked
-    in (x, y) order and the first violating pair is the witness, with the
-    pairs walked up to it as the count.  A caller-raised limit above
+    map's ``images(N)`` are checked per residue class mod p^j, in O(p^N),
+    and a verified report counts every pair of the strata.  When that check
+    fails, or the images come back at mixed output precisions, the pairs are
+    walked in (x, y) order and the first violating pair is the witness, with
+    the pairs walked up to it as the count.  A caller-raised limit above
     ``maps.ENTRY_BUDGET`` is refused before any image is computed.  Above
     the limit, ``per_stratum`` seeded random pairs per distance stratum are
     checked, and the first violating one is the witness.
@@ -128,11 +131,7 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     if p**N <= exhaustive_limit:
         mode = "exhaustive"
         _check_budget(p**N, "the exhaustive scaling images")
-        values, precisions = [], []
-        for xi in range(p**N):
-            y = f(ZpApprox.from_int(xi, p, N))
-            values.append(y.value)
-            precisions.append(y.precision)
+        values, precisions = map_like.images(N)
         if len(set(precisions)) == 1 and _scales_per_class(values, p, N, k, m):
             pairs = sum(p**N * (p - 1) * p ** (N - j - 1) // 2 for j in strata)
             return ScalingReport(klass, True, None, pairs, mode)
@@ -156,15 +155,15 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     pairs = 0
     rng = random.Random(seed)
     for j in strata:
+        pN, pj, rest = p**N, p**j, p ** (N - j - 1)
         for _ in range(per_stratum):
-            xi = rng.randrange(p**N)
-            xj = (xi // p**j) % p
-            yj = (xj + rng.randrange(1, p)) % p
-            hi = rng.randrange(p ** (N - j - 1)) if N - j - 1 > 0 else 0
-            yi = xi % p**j + yj * p**j + hi * p ** (j + 1)
+            xi = rng.randrange(pN)
+            yj = (xi // pj % p + rng.randrange(1, p)) % p
+            hi = rng.randrange(rest) if rest > 1 else 0
+            yi = xi % pj + (yj + hi * p) * pj
             pairs += 1
-            fx = f(ZpApprox.from_int(xi, p, N))
-            fy = f(ZpApprox.from_int(yi, p, N))
+            fx = f(ZpApprox._of(p, N, xi))
+            fy = f(ZpApprox._of(p, N, yi))
             got = _scaling_miss(fx.value, fx.precision, fy.value, fy.precision, p, j - m)
             if got is not None:
                 return ScalingReport(

@@ -17,8 +17,8 @@ as p^arity -- while the extended family is still exactly locally scaling.
 Every map object -- the map specifications (:class:`ShiftPower`,
 :class:`Tj`, :class:`Rmap`, affine maps, substitutions, tables, Mahler
 series, compositions) and :class:`DigitFunctionTable` -- answers to
-``prime`` and ``apply(x)``: the result carries exactly the digits
-determined by the input, computed per variant.
+``prime``, ``apply(x)`` and ``images(n)`` (``apply`` on every residue mod
+p^n); a result carries exactly the digits the input determines.
 Each spec class states the facts its definition proves (see :class:`MapSpec`).
 Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
 """
@@ -129,7 +129,8 @@ class DigitFunctionTable:
     index of its first t digits is x mod p^t, so :meth:`output_value` reads
     each row straight from that integer; it is the forward evaluation that
     ``apply`` and the solvers' digit streams share (a solve step then adds
-    one digit per stream with one :meth:`digit_value` read).
+    one digit per stream with one :meth:`digit_value` read).  :meth:`images`
+    gives ``apply`` on every residue mod p^n, one list pass per function.
 
     Because every digit function at i >= l is a bijection in its last
     variable, it has an inverse in that variable: :meth:`inverse_value`
@@ -246,6 +247,20 @@ class DigitFunctionTable:
         y, n = self.output_value(x.value, x.precision, 0, 0)
         return ZpApprox._of(self.prime, n, y)
 
+    def images(self, n: int) -> tuple:
+        """``apply`` on every residue x mod p^n, in order of x: (values, precisions)."""
+        p, k, m, l = self.prime, self.klass.k, self.klass.m, self.l
+        if n < k or n <= m or not (self.tail_projection or self.stored_depth):
+            self.apply(ZpApprox._of(p, n, 0))  # raises apply's refusal
+        n_out = self.output_value(0, n, 0, 0)[1]  # DepthExhausted without the heads
+        vals, stored = [0] * p**k, min(n_out, self.stored_depth)
+        for i in range(stored):  # from the residues mod p^(m+i) to mod p^(m+i+1)
+            pw = p**i
+            vals = [v + t * pw for v, t in zip(vals * p if i >= l else vals, self.tables[i])]
+        reps, pw = p ** (n - m - stored), p**stored  # a projection digit i >= stored is x_(m+i)
+        vals = [v + q * pw for q in range(reps) for v in vals] if n_out > stored else vals * reps
+        return vals, [n_out] * p**n
+
     def inverse_spec(self):
         """A table map is p^m-to-one, so it never has an exact inverse."""
         raise PrecisionError(f"no exact inverse available for {type(self).__name__}")
@@ -345,6 +360,11 @@ class MapSpec:
 
     def apply(self, x):
         raise NotImplementedError
+
+    def images(self, n: int) -> tuple:
+        """``apply`` on every residue x mod p^n, in order of x: (values, precisions)."""
+        ys = [self.apply(ZpApprox._of(self.prime, n, x)) for x in range(self.prime**n)]
+        return [y.value for y in ys], [y.precision for y in ys]
 
     def __call__(self, x):
         return self.apply(x)
@@ -652,6 +672,9 @@ class TableMap(MapSpec):
     def apply(self, x: ZpApprox) -> ZpApprox:
         return self.table.apply(x)
 
+    def images(self, n: int) -> tuple:
+        return self.table.images(n)
+
     def min_input_precision(self, n_out: int) -> int:
         k, l = self.table.klass.k, self.table.klass.l
         return k if n_out <= l else k - l + n_out
@@ -794,38 +817,39 @@ def _eval_prefix(spec: MapSpec, prefix: int, length: int, n_out: int) -> ZpAppro
     raise PrecisionError(f"cannot reach {n_out} output digits for {spec!r}")
 
 
-def extract_table(spec: MapSpec, klass: ScalingClass, depth: int, *,
-                  verify: bool = True, rng=None) -> DigitFunctionTable:
+def extract_table(spec: MapSpec, klass: ScalingClass, depth: int) -> DigitFunctionTable:
     """Tabulate a map's digit functions for a claimed scaling class.
 
-    Digit function i is read off as the p^i coefficient of the map's value
-    at each truncated point.  Construction verifies bijectivity on the last
-    variable (aborting with a witness); with ``verify`` the tables are also
-    replayed against direct evaluation on every truncation of full depth,
-    plus one run with the truncations extended by nonzero padding, so a map
-    whose digit i depends on digits beyond the declared arity is rejected with
-    an :class:`InconsistentScaling` witness.
+    The spec is evaluated once at every truncation of full length
+    L = max(k, m + depth) padded with zeros, and digit function i is read
+    off as the p^i coefficient of the value at the truncations below its
+    arity (the same exact points as its shorter arguments).  Construction
+    verifies bijectivity on the last variable (aborting with a witness); the
+    table's images of the truncations are then replayed against those
+    evaluations and against one more per truncation, padded with digits
+    p-1, so a map whose digit i depends on digits beyond the declared arity
+    is rejected with an :class:`InconsistentScaling` witness.
     """
     p = spec.prime
     k, l = klass.k, klass.l
     L = max(k, k - l + depth)
     arities = [k if i < l else k - l + i + 1 for i in range(depth)]
-    _check_budget(sum(p**a for a in arities) + (p**L if verify else 0),
-                  "table extraction")
-    tables = tuple(tuple(_eval_prefix(spec, idx, a, i + 1).value // p**i % p
-                         for idx in range(p**a)) for i, a in enumerate(arities))
+    _check_budget(sum(p**a for a in arities) + p**L, "table extraction")
+    zero_padded = [_eval_prefix(spec, idx, L, depth) for idx in range(p**L)]
+    tables = tuple(tuple(y.value // p**i % p for y in zero_padded[:p**a])
+                   for i, a in enumerate(arities))
     table = DigitFunctionTable(p, klass, tables)
-    if verify:
-        pad_width = max(spec.min_input_precision(depth) - L, 1)
-        for idx in range(p**L):
-            predicted = table.apply(ZpApprox._of(p, L, idx)).value
-            for d in (0, p - 1):
-                pad = d * (p**pad_width - 1) // (p - 1)  # pad_width digits d
-                y = spec.apply(ZpApprox._of(p, L + pad_width, idx + pad * p**L))
-                # the difference's valuation is the first digit that disagrees
-                if diff := (y.value - predicted) % p**min(depth, y.precision):
-                    raise InconsistentScaling(_val(diff, p, 0), _decode(idx, p, L),
-                                              (d,) * pad_width)
+    predicted = table.images(L)[0]
+    pad_width = max(spec.min_input_precision(depth) - L, 1)
+    pad = (p**pad_width - 1) * p**L  # pad_width digits p-1 after the truncation
+    for idx, y in enumerate(zero_padded):
+        for d in (0, p - 1):
+            if d:
+                y = spec.apply(ZpApprox._of(p, L + pad_width, idx + pad))
+            # the difference's valuation is the first digit that disagrees
+            if diff := (y.value - predicted[idx]) % p**min(depth, y.precision):
+                raise InconsistentScaling(_val(diff, p, 0), _decode(idx, p, L),
+                                          (d,) * pad_width)
     return table
 
 

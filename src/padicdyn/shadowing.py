@@ -498,16 +498,17 @@ def _sampled_expansion(spec: MapSpec, samples: int, seed: int) -> int:
 
 
 def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
-                      max_iterations: int = 64) -> ShadowResult:
+                      max_iterations: int | None = None) -> ShadowResult:
     """Sequence-space contraction shadow for a certified dilatation on Q_p.
 
     Iterates Phi((y_n)) = (g^-1(x_{n+1} + y_{n+1}) - x_n) from the zero
     sequence on the forward window; every sweep shrinks the correction
-    sup-norm by at least p^-k (asserted), so the iteration reaches the
-    precision floor in about window-width/k sweeps.  Phi is triangular:
-    entry n reads only entry n+1, so a sweep recomputes entry n only when
-    entry n+1 changed in the previous sweep, and a window of n+1 entries
-    costs at most n(n+1)/2 applications of g^-1 over all sweeps.  The
+    sup-norm by at least p^-k (asserted), so it often stops early at the
+    precision floor.  Phi is triangular: entry n reads only entry n+1, so a
+    sweep recomputes entry n only when entry n+1 changed in the previous
+    sweep; a window of n+1 entries costs at most n(n+1)/2 applications of
+    g^-1 and is exact after n+1 sweeps, the default cap, and a smaller
+    ``max_iterations`` that stops it first is refused (PrecisionError).  The
     resulting point x_0 + y*_0 is verified against the orbit in both
     directions; the backward bound comes from g^-1 being a p^-k contraction.
     """
@@ -529,8 +530,8 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     # permits an earlier geometric stop once it is below every window end.
     correction_exponents = []
     iterations = 0
-    converged = False
-    while iterations < max_iterations:
+    sweeps = fwd_last + 1 if max_iterations is None else max_iterations
+    while iterations < sweeps:
         dists = []
         for n in range(fwd_last + 1):  # ascending: ys[n+1] is the last sweep's
             old = ys[n]
@@ -555,11 +556,12 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
         floor = max(v.window_end for v in ys)
         if (not any(moved) or iterations >= fwd_last + 1
                 or eps_exp + k * (iterations + 1) >= floor):
-            converged = True
             break
+    else:
+        raise PrecisionError(f"sweep budget of {sweeps} exhausted before convergence")
     return _certified(
         g, g_inv, orbit.point(0) + ys[0], orbit, eps_exp, "dilatation",
-        {"expansion_exponent": k, "iterations": iterations, "converged": converged,
+        {"expansion_exponent": k, "iterations": iterations, "converged": True,
          "correction_exponents": tuple(correction_exponents)}, PadicError)
 
 

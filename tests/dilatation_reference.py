@@ -9,11 +9,11 @@ import it by name, since pytest puts their own directory on ``sys.path``.
 """
 
 from padicdyn import shadowing
-from padicdyn.core import PadicError, QpApprox, distance, pnorm_max
+from padicdyn.core import PadicError, PrecisionError, QpApprox, distance, pnorm_max
 from padicdyn.shadowing import CertificationError, certify_expansion
 
 
-def full_sweep_dilatation(g, orbit, *, max_iterations: int = 64):
+def full_sweep_dilatation(g, orbit, *, max_iterations: int | None = None):
     """:func:`padicdyn.shadowing.shadow_dilatation`, every entry every sweep."""
     k = certify_expansion(g)
     if k < 1:
@@ -29,7 +29,8 @@ def full_sweep_dilatation(g, orbit, *, max_iterations: int = 64):
     correction_exponents = []
     iterations = 0
     converged = False
-    while iterations < max_iterations:
+    sweeps = fwd_last + 1 if max_iterations is None else max_iterations
+    while iterations < sweeps:
         new = []
         for n in range(fwd_last + 1):
             if n + 1 <= fwd_last:
@@ -56,6 +57,8 @@ def full_sweep_dilatation(g, orbit, *, max_iterations: int = 64):
                 or eps_exp + k * (iterations + 1) >= floor):
             converged = True
             break
+    if not converged:
+        raise PrecisionError(f"sweep budget of {sweeps} exhausted before convergence")
     return shadowing._certified(
         g, g_inv, orbit.point(0) + ys[0], orbit, eps_exp, "dilatation",
         {"expansion_exponent": k, "iterations": iterations, "converged": converged,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from padicdyn.analysis import (
     ScalingClass,
+    _scales_per_class,
     expansivity_check,
     fixed_points,
     periodic_points,
@@ -22,6 +23,7 @@ from padicdyn.maps import (
     Prime,
     Rmap,
     ShiftPower,
+    TableMap,
     Tj,
     iterate,
     random_table,
@@ -34,6 +36,7 @@ from padicdyn.oracle import (
 )
 
 from dense_reference import fixed_seeds, iterate_table
+from scaling_reference import per_stratum_scales, stratified_scaling
 
 
 def _strata_pairs(p, k, m, N):
@@ -152,6 +155,77 @@ def test_verify_scaling_matches_pair_loop(case):
         _pair_loop_scaling(f, p, klass.k, klass.m, N)
     if report.verified:
         assert report.pairs_checked == _strata_pairs(p, klass.k, klass.m, N)
+
+
+def test_scales_per_class_matches_per_stratum_reference():
+    # the top-down check against one full pass per stratum, on the images of
+    # random tables (some too shallow for the deep strata) under their own
+    # and wrong claims, and on the same lists with one entry perturbed
+    rng = random.Random(21)
+    verdicts = []
+    while len(verdicts) < 2000:
+        p = rng.choice((2, 3, 5))
+        top = {2: 8, 3: 5, 5: 4}[p]
+        k = rng.randint(1, min(3, top - 2))
+        m = rng.randint(1, min(k, top - 1 - k))
+        t = random_table(rng, p, ScalingClass(k, m), rng.randint(max(k - m, 1), k - m + 4),
+                         tail_projection=rng.random() < 0.7)
+        N = rng.randint(k + m + 1, top)
+        values, precisions = t.images(N)
+        claims = [(k, m)] + [(kk, rng.randint(1, min(kk, N - 1 - kk)))
+                             for kk in [rng.randint(1, (N - 1) // 2)]]
+        perturbed = list(values)
+        perturbed[rng.randrange(len(values))] = rng.randrange(p ** precisions[0])
+        for kk, mm in claims:
+            for vals in (values, perturbed):
+                want = per_stratum_scales(vals, p, N, kk, mm)
+                assert _scales_per_class(vals, p, N, kk, mm) == want, (p, N, kk, mm)
+                verdicts.append(want)
+    assert 500 < sum(verdicts) < len(verdicts) - 500
+
+
+def test_stratified_loop_matches_reference():
+    # powers computed once per stratum and inputs built by _of leave the rng
+    # draws as they were: the same pairs, count and witness, for true and
+    # wrong claims at 1, 16 and 64 pairs per stratum
+    outcomes = []
+    for p in (2, 3, 5):
+        N = {2: 8, 3: 6, 5: 6}[p]
+        for seed in range(20):
+            rng = random.Random(100 * p + seed)
+            k = rng.randint(1, 2)
+            t = random_table(rng, p, ScalingClass(k, rng.randint(1, k)), 3)
+            kk = rng.randint(1, 2)
+            for klass in (t.klass, ScalingClass(kk, rng.randint(1, kk))):
+                for per_stratum in (1, 16, 64):
+                    report = verify_scaling(t, klass, N, exhaustive_limit=1,
+                                            per_stratum=per_stratum, seed=seed)
+                    assert report.mode == "stratified"
+                    got = (report.verified, report.pairs_checked, report.witness)
+                    assert got == stratified_scaling(t, klass, N, per_stratum, seed)
+                    outcomes.append(got)
+    failed = [o for o in outcomes if not o[0]]
+    assert len(failed) > 50 and any(pairs > 1 for _, pairs, _ in failed)
+
+
+def test_verify_scaling_work_is_pinned(monkeypatch):
+    # the exhaustive check reads a table's images and applies it nowhere,
+    # under true and wrong claims; only a refusal applies it, once, to raise
+    # apply's own error
+    calls = []
+    apply = DigitFunctionTable.apply
+    monkeypatch.setattr(DigitFunctionTable, "apply",
+                        lambda self, x: calls.append(x) or apply(self, x))
+    rng = random.Random(12)
+    for p, k, m, N in ((2, 2, 1, 8), (3, 1, 1, 5), (2, 3, 2, 9), (5, 2, 1, 5)):
+        t = random_table(rng, p, ScalingClass(k, m), 6)
+        for f in (t, TableMap(t)):
+            assert verify_scaling(f, t.klass, N).verified
+            assert not verify_scaling(f, ScalingClass(k + (m == k), m + 1), N).verified
+    assert not calls
+    with pytest.raises(DepthExhausted, match="before the first digit"):
+        verify_scaling(DigitFunctionTable(2, ScalingClass(1, 1), ()), ScalingClass(1, 1), 4)
+    assert len(calls) == 1
 
 
 def test_verify_scaling_stratified_mode():

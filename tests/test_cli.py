@@ -389,6 +389,20 @@ def test_exit_codes(specs, capsys, tmp_path):
         assert main(["conjugate", "--map", str(unit_path),
                      "--constructor", "qp-affine"]) == 4, (a, b)
         assert "is not an exact dilation or contraction" in capsys.readouterr().err
+    # the dilatation sweep's cap follows the orbit window: a 90-step forward
+    # orbit of a 120-digit dilatation needs 91 sweeps and certifies, where a
+    # fixed cap of 64 sweeps failed it as an internal error (exit 5)
+    dil_map, dil_orbit = tmp_path / "dil.json", tmp_path / "dil90.txt"
+    rng = random.Random(90)
+    save_spec(AffineQp(QpApprox(Prime(3), -1, (1,) + (0,) * 119),
+                       QpApprox(Prime(3), 0, tuple(rng.randrange(3) for _ in range(120)))),
+              dil_map)
+    start = "3^0 * [" + " ".join(str(rng.randrange(3)) for _ in range(120)) + "]"
+    assert main(["orbit", "--map", str(dil_map), "--start", start, "--delta-exp", "2",
+                 "--steps", "90", "--seed", "1", "--out", str(dil_orbit)]) == 0
+    assert main(["shadow", "--map", str(dil_map), "--orbit", str(dil_orbit),
+                 "--solver", "dilatation"]) == 0
+    assert '"iterations": 91' in capsys.readouterr().out
 
 
 def test_wrong_domain_inputs_exit_3(capsys, tmp_path):

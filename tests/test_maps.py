@@ -1,5 +1,6 @@
 """Digit-function tables, map evaluation, extraction, iteration, serialization."""
 
+import hashlib
 import math
 import random
 
@@ -49,6 +50,11 @@ from padicdyn.maps import (
 from padicdyn.oracle import brute_fixed_point_count
 
 from dense_reference import iterate_table
+from scaling_reference import entrywise_extract_table
+
+# sha256 of the outcomes (tables or errors) of ``_extraction_cases`` under the
+# entrywise extraction, recorded from it
+EXTRACTION_HASH = "25bea6a38e66afdc02afceffe64d394ad8d51080f56093d9d8c41ea311253be3"
 
 
 def rand_point(rng, p, n):
@@ -268,6 +274,110 @@ def test_extract_table_witness_past_the_arity():
         with pytest.raises(InconsistentScaling) as exc:
             extract_table(_ReadsPastArity(reach), ScalingClass(1, 1), 3)
         assert (exc.value.digit_index, exc.value.truncation, exc.value.extension) == witness
+
+
+def _images_outcome(call):
+    try:
+        return call()
+    except PadicError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_images_match_apply(p, data):
+    # every residue mod p^n, n from below k until p^n > 4096, on tables with
+    # and without a projection tail from below the head count to l + 4
+    # functions, and on specs whose images are their per-residue ``apply``;
+    # a refusal must be ``apply``'s own, type and message
+    draw, prime = data.draw, Prime(p)
+    k = draw(st.integers(1, 3))
+    klass = ScalingClass(k, draw(st.integers(1, k)))
+    table = random_table(random.Random(draw(st.integers(0, 2**32 - 1))), p, klass,
+                         draw(st.integers(max(klass.l - 1, 0), klass.l + 4)),
+                         tail_projection=draw(st.booleans()))
+    n = draw(st.integers(1, {2: 12, 3: 7, 5: 5}[p]))
+    na, nb = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    affine = AffineZp(ZpApprox.from_int(draw(st.integers(0, p**na)), p, na),
+                      ZpApprox.from_int(draw(st.integers(0, p**nb)), p, nb))
+    for f in (table, TableMap(table), Tj(prime, klass.m, draw(st.integers(0, 3))),
+              Rmap(prime, klass.m), affine):
+        ys = _images_outcome(lambda: [f.apply(ZpApprox._of(prime, n, x)) for x in range(p**n)])
+        want = ys if isinstance(ys, tuple) else ([y.value for y in ys],
+                                                 [y.precision for y in ys])
+        assert _images_outcome(lambda: f.images(n)) == want, f
+
+
+def _extraction_cases():
+    """(spec, claimed class, depth): the specs the extraction tests use and
+    the benchmark's classical specs at seeds 1..5, each at its own class and
+    at wrong ones, and random tables as specs."""
+    p2, p3 = Prime(2), Prime(3)
+    specs = [(ShiftPower(p2, 2), (2, 2), 4), (ShiftPower(p3, 1), (1, 1), 3),
+             (Tj(p2, 1, 2), (3, 1), 4), (Tj(p3, 1, 1), (2, 1), 3),
+             (Rmap(p2, 1), (2, 1), 4), (Rmap(p3, 1), (2, 1), 3)]
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        for p, K in ((2, 2), (3, 1)):
+            A = 1 + p * rng.randrange(p**11)
+            specs.append((GaModZp(QpApprox(p, -K, _decode(A, p, 12))), (K, K), 4))
+        for p in (2, 3):
+            A, B = 1 + p * rng.randrange(p**11), rng.randrange(p**12)
+            specs.append((Compose((AffineZp(ZpApprox.from_int(A, p, 12),
+                                            ZpApprox.from_int(B, p, 12)),
+                                   ShiftPower(Prime(p), 1))), (1, 1), 4))
+    rng = random.Random(8)
+    for p, k, m, depth in ((2, 2, 1, 5), (3, 1, 1, 3), (2, 3, 2, 4), (5, 1, 1, 2)):
+        specs.append((TableMap(random_table(rng, p, ScalingClass(k, m), depth)), (k, m), depth))
+    wrong = [(spec, klass, 3) for spec, (k, m), _ in specs
+             for klass in ((1, 1), (2, 1), (k + 1, m), (k, k)) if klass != (k, m)]
+    return specs, wrong
+
+
+def test_extract_table_matches_the_entrywise_reference():
+    # one evaluation per truncation builds the tables, and refuses wrong
+    # classes, exactly as one evaluation per entry with a replay through
+    # apply did; the hash is that of the entrywise extraction's outcomes
+    specs, wrong = _extraction_cases()
+    outcomes = []
+    for spec, klass, depth in specs + wrong:
+        got, want = (_images_outcome(lambda: build(spec, ScalingClass(*klass), depth).tables)
+                     for build in (extract_table, entrywise_extract_table))
+        assert got == want, (spec, klass)
+        outcomes.append(got)
+    assert sum(isinstance(o[0], type) for o in outcomes) > 20  # wrong classes refused
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == EXTRACTION_HASH
+
+
+class _CountingSpec(MapSpec):
+    """``base`` counting its applications."""
+
+    def __init__(self, base):
+        self.base, self.prime, self.calls = base, base.prime, 0
+
+    def apply(self, x):
+        self.calls += 1
+        return self.base.apply(x)
+
+    def min_input_precision(self, n_out):
+        return self.base.min_input_precision(n_out)
+
+
+def test_extract_table_work_is_pinned(monkeypatch):
+    # one spec evaluation per zero-padded and one per (p-1)-padded truncation
+    # of full length L, and no table application: the replay reads the
+    # table's images (one evaluation per entry and per truncation, plus p^L
+    # table applications, before)
+    table_calls = []
+    apply = DigitFunctionTable.apply
+    monkeypatch.setattr(DigitFunctionTable, "apply",
+                        lambda self, x: table_calls.append(x) or apply(self, x))
+    for spec, (k, m), depth in _extraction_cases()[0]:
+        if not isinstance(spec, TableMap):  # a table spec applies its own table
+            counting = _CountingSpec(spec)
+            extract_table(counting, ScalingClass(k, m), depth)
+            assert counting.calls == 2 * spec.prime ** max(k, m + depth), spec
+    assert not table_calls
 
 
 def test_iterate_matches_repeated_eval():

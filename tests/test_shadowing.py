@@ -728,10 +728,28 @@ def test_dilatation_matches_full_sweep_reference():
                                  for solve in (shadow_dilatation, full_sweep_dilatation))
                     assert got == want
                     cases += 1
-                    seen.add(got[1].split(" ")[0] if got[0] in (CertificationError, PadicError)
+                    seen.add(got[1].split(" ")[0] if isinstance(got[0], type)
                              else f"converged={got[4]['converged']}")
     assert cases == 816  # on 240 orbits
-    assert seen == {"converged=True", "converged=False", "Phi", "correction", "internal:"}
+    assert seen == {"converged=True", "sweep", "Phi", "correction", "internal:"}
+
+
+def test_dilatation_sweep_cap_follows_the_window():
+    # a 90-step forward window needs 91 sweeps; a fixed cap of 64 left the
+    # point unconverged, and the certificate walk then failed it as an
+    # internal error.  By default the cap is the window, and a smaller
+    # explicit cap is refused by name before any certificate is checked.
+    p = Prime(3)
+    rng = random.Random(90)
+    spec = AffineQp(QpApprox(p, -1, (1,) + (0,) * 119),
+                    QpApprox(p, 0, tuple(rng.randrange(3) for _ in range(120))))
+    x0 = QpApprox(p, 0, tuple(rng.randrange(3) for _ in range(120)))
+    orbit = perturb_orbit(spec, x0, 2, 90, seed=1)
+    res = shadow_dilatation(spec, orbit)
+    assert res.details["iterations"] == 91 and res.details["converged"]
+    with pytest.raises(PrecisionError, match="sweep budget of 64 exhausted") as exc:
+        shadow_dilatation(spec, orbit, max_iterations=64)
+    assert exc.type is PrecisionError
 
 
 def test_dilatation_sweep_work_is_pinned():
