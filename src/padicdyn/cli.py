@@ -167,7 +167,7 @@ def cmd_fixed_points(args) -> dict:
 
 
 def _auto_solver(spec: MapSpec) -> str:
-    if isinstance(spec, AffineQp):
+    if spec.affine() is not None:
         return "affine-qp"
     if isinstance(spec, (Substitution, AffineZp)):
         return "lipschitz"
@@ -185,9 +185,10 @@ def cmd_shadow(args) -> dict:
     elif solver == "lipschitz":
         result = shadow_lipschitz(spec, orbit)
     elif solver == "affine-qp":
-        if not isinstance(spec, AffineQp):
-            raise PrecisionError("the affine-qp solver needs an affine_qp map")
-        result = shadow_affine_qp(spec.a, spec.b, orbit)
+        fact = spec.affine()
+        if fact is None:
+            raise PrecisionError("the affine-qp solver needs a map that states z -> az + b")
+        result = shadow_affine_qp(*fact, orbit)
     elif solver == "dilatation":
         result = shadow_dilatation(spec, orbit)
     else:
@@ -268,7 +269,8 @@ def cmd_conjugate(args) -> dict:
     elif constructor == "qp-affine":
         cm = qp_affine_conjugacy_map(spec, args.horizon)
         k = cm.details["dilation_exponent"]
-        width = spec.a.width if isinstance(spec, AffineQp) else 24
+        fact = spec.affine()
+        width = 24 if fact is None else fact[0].width
         f_map = AffineQp(
             QpApprox(spec.prime, -k, (1,) + (0,) * (width - 1)),
             QpApprox(spec.prime, max(4 * abs(k), 16), (0,) * width))

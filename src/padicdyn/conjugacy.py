@@ -16,13 +16,17 @@ recomputable:
 * ``affine_shell_conjugacy`` -- for a contraction z -> az on Z_p perturbed
   by a small-Lipschitz psi with psi(0) = 0, h is the shell recursion
   h(az) = a h(z) + psi(h(z)) with h = id on the unit shell; each shell maps
-  onto itself, which is asserted per call.
+  onto itself, which is asserted per call.  The fixed point (psi(0) != 0)
+  and each shell's inverse are limits of contractions, iterated until the
+  digits settle within a step cap that follows the working precision.
 
 * ``qp_affine_conjugacy`` -- a map with certified exact dilation p^k on Q_p
   is conjugate to f_{1/p^k, 0} by the isometry whose digit block j is the
-  first k digits of g^j(x); backward blocks vanish because the backward
-  orbit contracts to the fixed point, whose low digits are zero.  The
-  exponent, translation, inverse and steps are computed once per map.
+  first k digits of g^j(x - z*), for the fixed point z*; backward blocks
+  vanish because the backward orbit contracts to z*.  z* is b/(1-a) for a
+  map that states its affine fact z -> az + b, else the limit of the
+  contracting direction's iterates.  The exponent, translation, inverse
+  and steps are computed once per map.
 """
 
 from __future__ import annotations
@@ -42,15 +46,7 @@ from .core import (
     mod_zp,
     pnorm_max,
 )
-from .maps import (
-    AffineQp,
-    AffineZp,
-    Compose,
-    DigitFunctionTable,
-    MapSpec,
-    Substitution,
-    table_sup_distance_exponent,
-)
+from .maps import DigitFunctionTable, MapSpec, table_sup_distance_exponent
 from .shadowing import (
     CertificationError,
     PseudoOrbit,
@@ -204,50 +200,30 @@ def certify_contraction_factor(psi: MapSpec, min_exponent: int, *,
                                seed: int = 0) -> str:
     """Certify ||psi(x)-psi(y)|| <= p^-min_exponent * ||x-y||.
 
-    Affine maps and compositions carry the bound structurally; otherwise
-    seeded sample pairs are checked and the method is recorded as sampled.
+    A map that states its contraction exponent is certified by that fact,
+    under the name of its Lipschitz route; otherwise seeded sample pairs are
+    checked and the method is recorded as sampled.
     """
-    if isinstance(psi, AffineZp):
-        va = psi.a.norm()
-        if va.leq_pow(min_exponent):
-            return "structural:affine"
-        raise CertificationError(
-            f"Lipschitz factor ||a|| = {va.describe(psi.prime)} exceeds "
-            f"p^-{min_exponent}")
-    if isinstance(psi, Compose):
-        # a composition is as contracting as its parts' exponents sum to
-        total = 0
-        for part in psi.parts:
-            if isinstance(part, AffineZp):
-                # an inexact norm is the bound <= p^-exponent, as in the rule above
-                total += part.a.norm().exponent
-            elif isinstance(part, Substitution):
-                total += 0  # 1-Lipschitz
-            else:
-                return _sampled_contraction(psi, min_exponent, samples, precision, seed)
-        if total >= min_exponent:
-            return "structural:composition"
-        raise CertificationError(
-            f"composition contracts by p^-{total}, need p^-{min_exponent}")
-    return _sampled_contraction(psi, min_exponent, samples, precision, seed)
+    e = psi.contraction_exponent()
+    if e is None:
+        return _sampled_contraction(psi, min_exponent, samples, precision, seed)
+    route = psi.lipschitz_route(None)
+    if e < min_exponent:
+        raise CertificationError(f"{route}: contracts by p^-{e}, need p^-{min_exponent}")
+    return route
 
 
-def _agrees(x: ZpApprox, y: ZpApprox) -> bool:
-    """Every digit of x equals the digit of y at the same place."""
-    return x.precision <= y.precision and x.value == y.value % y.prime**x.precision
-
-
-def _fixed_point_of_contraction(a: ZpApprox, psi: MapSpec, precision: int,
-                                budget: int = 64) -> ZpApprox:
-    """The unique fixed point of z -> a z + psi(z) on Z_p, by iteration."""
-    p = a.prime
-    z = ZpApprox.from_int(0, p, precision)
-    for _ in range(budget):
-        nxt = a * z + psi.apply(z)
-        if _agrees(nxt, z):
-            return nxt
+def _limit(step, z, steps: int):
+    """The limit of z, step(z), step(step(z)), ...: the first iterate with
+    the same window and digits as the one before.  A contraction settles at
+    least one more digit per step, so ``steps`` is the count of digits the
+    iteration must gain; an iterate that has not settled by then is refused."""
+    for _ in range(steps):
+        nxt = step(z)
+        if nxt == z:
+            return z
         z = nxt
-    raise CertificationError("fixed-point iteration did not stabilize in budget")
+    raise CertificationError(f"contraction iteration did not settle in {steps} steps")
 
 
 def affine_shell_conjugacy(a: ZpApprox, psi: MapSpec, z: ZpApprox) -> ZpApprox:
@@ -267,22 +243,20 @@ def affine_shell_conjugacy(a: ZpApprox, psi: MapSpec, z: ZpApprox) -> ZpApprox:
         raise ZeroAtPrecision("need ||a|| < 1 with an exact norm")
     K = na.exponent
     n = nz.exponent // K
-    p = a.prime
     if n == 0:
         return z
     a_inv_pow = inverse_unit(a)
     w_q = QpApprox.from_zp(z)
     for _ in range(n):
         w_q = w_q * a_inv_pow
-    w = mod_zp(w_q)
-    cur = w
+    cur = mod_zp(w_q)
     for _ in range(n):
         cur = a * cur + psi.apply(cur)
     got = cur.norm()
     if not (got.exact and got.exponent == nz.exponent):
         raise CertificationError(
-            f"shell assertion failed: ||z|| = {nz.describe(p)} but "
-            f"||h(z)|| = {got.describe(p)} (bad psi certificate)")
+            f"shell assertion failed: ||z|| = {nz.describe(a.prime)} but "
+            f"||h(z)|| = {got.describe(a.prime)} (bad psi certificate)")
     return cur
 
 
@@ -305,8 +279,9 @@ def affine_shell_conjugacy_map(a: ZpApprox, psi: MapSpec, *,
     translation = None
     psi_eff = psi
     if psi0.value:
-        z_g = _fixed_point_of_contraction(a, psi, work)
-        translation = z_g
+        # the fixed point of z -> a z + psi(z), a contraction by ||a||
+        translation = z_g = _limit(lambda z: a * z + psi.apply(z),
+                                   ZpApprox.from_int(0, p, work), work + 2)
 
         class _Normalized(MapSpec):
             prime = p
@@ -320,20 +295,13 @@ def affine_shell_conjugacy_map(a: ZpApprox, psi: MapSpec, *,
 
         psi_eff = _Normalized()
 
+    # a sum keeps only the digits both terms know: h's precision bounds it
     def forward(z):
         h = affine_shell_conjugacy(a, psi_eff, z)
-        if translation is not None:
-            zg = translation if translation.precision <= h.precision \
-                else translation.truncate(h.precision)
-            return h + zg
-        return h
+        return h if translation is None else h + translation
 
     def inverse(y):
-        if translation is not None:
-            zg = translation if translation.precision <= y.precision \
-                else translation.truncate(y.precision)
-            y = y - zg
-        return _invert_shell(a, psi_eff, y)
+        return _invert_shell(a, psi_eff, y if translation is None else y - translation)
 
     return ConjugacyMap(
         forward=forward,
@@ -348,9 +316,9 @@ def affine_shell_conjugacy_map(a: ZpApprox, psi: MapSpec, *,
     )
 
 
-def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox, budget: int = 64) -> ZpApprox:
-    """Invert the shell recursion: peel one shell at a time via the
-    contraction t -> (y - psi(t)) / a, then scale the unit-shell
+def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox) -> ZpApprox:
+    """Invert the shell recursion: peel one shell at a time as the limit of
+    the contraction t -> (y - psi(t)) / a, then scale the unit-shell
     representative back up by a^n."""
     ny = y.norm()
     if not ny.exact:
@@ -362,48 +330,45 @@ def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox, budget: int = 64) -> Z
     a_inv = inverse_unit(a)
     cur = y
     for _ in range(n):
-        t = cur
-        for _ in range(budget):
-            w_q = QpApprox.from_zp(cur - psi.apply(t)) * a_inv
-            nxt = mod_zp(w_q)
-            if _agrees(nxt, t):
-                t = nxt
-                break
-            t = nxt
-        cur = t
+        # psi is p^-(K+1)-Lipschitz, so each step settles one digit or more
+        cur = _limit(lambda t, u=cur: mod_zp(QpApprox.from_zp(u - psi.apply(t)) * a_inv),
+                     cur, cur.precision + 2)
     for _ in range(n):
         cur = a * cur
     return cur
 
 
-def _affine_translation(g: AffineQp) -> QpApprox:
-    """b / (1 - a), the fixed point of z -> az + b (needs ||a|| != 1)."""
-    p = g.prime
-    one = QpApprox.from_int(1, p, max(g.a.width, g.b.width))
-    return inverse_unit(one - g.a) * g.b
-
-
 def _qp_affine_h(g: MapSpec, horizon: int):
     """(k, translation or None, h): the certified exponent (0 refused first),
-    b/(1-a), a^-1 or g^-1 and both steps are computed once; h walks x's orbit."""
+    the fixed point, a^-1 or g^-1 and both steps are computed once; h walks
+    the orbit of x less the fixed point, one expanding step per block."""
     k = certify_expansion(g)
     if k == 0:
         raise CertificationError("||a|| = 1 is not an exact dilation or contraction")
     K = abs(k)
     p = g.prime
     translation = None
-    if isinstance(g, AffineQp):
-        if g.b.value:
-            translation = _affine_translation(g)
-        a, a_inv = g.a, inverse_unit(g.a)
-        if k > 0:
-            fwd_step, bwd_step = (lambda z: a * z), (lambda z: a_inv * z)
-        else:
-            fwd_step, bwd_step = (lambda z: a_inv * z), (lambda z: a * z)
+    fact = g.affine()
+    if fact is not None:
+        a, b = fact
+        if b.value:  # b / (1 - a), the fixed point of z -> az + b
+            translation = inverse_unit(QpApprox.from_int(1, p, max(a.width, b.width)) - a) * b
+        a_inv = inverse_unit(a)
+        steps = (lambda z: a * z), (lambda z: a_inv * z)
     else:
-        g_inv = g.inverse_spec()
-        fwd, bwd = (g, g_inv) if k > 0 else (g_inv, g)
-        fwd_step, bwd_step = fwd.apply, bwd.apply
+        steps = g.apply, g.inverse_spec().apply
+    fwd_step, bwd_step = steps if k > 0 else steps[::-1]
+    if fact is None:
+        # the fixed point is the limit of the contracting bwd_step, read to
+        # the window end (horizon + 1) K of the blocks, where it is clipped
+        end = (horizon + 1) * K
+        o = QpApprox._of(p, end - 1, 1, 0)  # 0 + O(p^end)
+        z0 = bwd_step(o) + o
+        t = _limit(lambda z: bwd_step(z) + o, z0, end - z0.valuation_offset + 2)
+        if t.value:
+            translation = t
+            fwd_g, bwd_g = fwd_step, bwd_step
+            fwd_step, bwd_step = (lambda z: fwd_g(z + t) - t), (lambda z: bwd_g(z + t) - t)
     q = p**K
 
     def h(x: QpApprox) -> QpApprox:
@@ -449,9 +414,9 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
     0..k-1 of g^j(x); backward blocks are filled through the inverse until
     the backward orbit's valuation certifies that every remaining block is
     zero.  For k < 0 the same construction runs on g^-1, which conjugates g
-    to f_{1/p^k, 0} with k's original sign.  Affine g with b != 0 is first
-    translated by its fixed point b/(1-a) (so the orbit iteration is a pure
-    scalar multiplication and the backward fixed point is 0).
+    to f_{1/p^k, 0} with k's original sign.  x is first translated by g's
+    fixed point, so the backward fixed point is 0; for an affine g (by its
+    fact) that is b/(1-a), and the orbit iteration a scalar multiplication.
     """
     return _qp_affine_h(g, horizon)[2](x)
 

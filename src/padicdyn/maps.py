@@ -334,10 +334,12 @@ class MapSpec:
     Each subclass states the facts its definition proves, "not known" (None)
     by default: ``klass``, the scaling class; ``structural_table()``;
     ``closed_form(n)``, the count of points of period dividing n; the route
-    that certifies it 1-Lipschitz; its exact expansion exponent on Q_p; an
-    exact ``inverse_spec()``.  Callers fall back to extraction or sampling,
-    and a composition runs that fallback ``sample`` on each part without the
-    fact.  A fact that fails for the instance raises CertificationError.
+    that certifies it 1-Lipschitz; e with ||f(x)-f(y)|| <= p^-e ||x-y||;
+    its exact expansion exponent on Q_p; an exact ``inverse_spec()``; the
+    coefficients (a, b) of z -> az + b.  Callers fall back to extraction,
+    sampling or iteration, and a composition runs that fallback ``sample``
+    on each part without the fact.  A fact that fails for the instance
+    raises CertificationError.
     """
 
     domain = "zp"
@@ -352,7 +354,13 @@ class MapSpec:
     def lipschitz_route(self, sample):
         return None
 
+    def contraction_exponent(self):
+        return None
+
     def expansion_exponent(self, sample=lambda spec: None):
+        return None
+
+    def affine(self):
         return None
 
     def inverse_spec(self) -> "MapSpec":
@@ -534,6 +542,10 @@ class AffineZp(MapSpec):
     def lipschitz_route(self, sample) -> str:
         return "structural:affine"
 
+    def contraction_exponent(self) -> int:
+        # an inexact norm (a = 0 at its precision) is the bound <= p^-exponent
+        return self.a.norm().exponent
+
     def spec_dict(self) -> dict:
         return {
             "type": "affine_zp",
@@ -567,6 +579,9 @@ class AffineQp(MapSpec):
 
     def expansion_exponent(self, sample=lambda spec: None) -> int:
         return -self.a.normalize().valuation_offset
+
+    def affine(self) -> tuple:
+        return self.a, self.b
 
     def inverse_spec(self) -> "AffineQp":
         a_inv = inverse_unit(self.a)
@@ -653,6 +668,9 @@ class Substitution(MapSpec):
 
     def lipschitz_route(self, sample) -> str:
         return "structural:substitution"
+
+    def contraction_exponent(self) -> int:
+        return 0
 
     def spec_dict(self) -> dict:
         return {"type": "substitution", "p": int(self.prime),
@@ -770,6 +788,11 @@ class Compose(MapSpec):
             part.lipschitz_route(sample) or sample(part)
         return "structural:composition"
 
+    def contraction_exponent(self) -> int | None:
+        # Lipschitz exponents add up; a part without one leaves the sum unknown
+        exps = [part.contraction_exponent() for part in self.parts]
+        return None if None in exps else sum(exps)
+
     def expansion_exponent(self, sample=lambda spec: None) -> int | None:
         # exact scaling constants add up; a part without the fact is sampled
         total = 0
@@ -780,6 +803,16 @@ class Compose(MapSpec):
                 return None
             total += k
         return total
+
+    def affine(self) -> tuple | None:
+        # z -> a2 (a1 z + b1) + b2, when every part states its coefficients
+        facts = [part.affine() for part in self.parts]
+        if None in facts:
+            return None
+        a, b = facts[0]
+        for a2, b2 in facts[1:]:
+            a, b = a2 * a, a2 * b + b2
+        return a, b
 
     def inverse_spec(self) -> "Compose":
         return Compose(tuple(part.inverse_spec() for part in reversed(self.parts)))

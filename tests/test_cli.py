@@ -13,6 +13,7 @@ from padicdyn.core import Prime, QpApprox, ZpApprox
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
+    Compose,
     Rmap,
     ScalingClass,
     ShiftPower,
@@ -156,6 +157,28 @@ def test_conjugate_affine_shell(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["verification"]["semiconjugacy_ok"] is True
+
+
+def test_conjugate_affine_shell_at_any_precision(capsys, tmp_path):
+    # psi(0) = 9 at 100 digits: the fixed point takes about one step per digit
+    n = 100
+    psi_path = tmp_path / "psi.json"
+    save_spec(AffineZp(ZpApprox.from_int(18, 3, n), ZpApprox.from_int(9, 3, n)), psi_path)
+    code, out = run(capsys, "conjugate", "--map", str(psi_path),
+                    "--constructor", "affine-shell", "--a", f"3^0 * [0 1{' 0' * (n - 2)}]",
+                    "--samples", "4", "--precision", str(n))
+    assert code == 0
+    assert json.loads(out)["verification"]["semiconjugacy_ok"] is True
+
+
+def test_affine_qp_solver_names_the_fact_it_needs(specs, capsys):
+    code, _ = run(capsys, "orbit", "--map", specs["shift"], "--start", "2^0 * [1 0 1 1]",
+                  "--delta-exp", "1", "--steps", "2", "--seed", "1",
+                  "--out", specs["shift"] + ".orbit")
+    assert code == 0
+    assert main(["shadow", "--map", specs["shift"], "--orbit", specs["shift"] + ".orbit",
+                 "--solver", "affine-qp"]) == 3
+    assert "needs a map that states z -> az + b" in capsys.readouterr().err
 
 
 def test_conjugate_qp_affine(specs, capsys):
@@ -476,6 +499,9 @@ def _write_corpus_inputs():
                          QpApprox(p3, 0, (2,) + (0,) * 29)),
         "affc": AffineQp(QpApprox(p3, 1, (2, 1) + (0,) * 28),
                          QpApprox(p3, 0, (1,) + (0,) * 29)),
+        # z -> z/3 + 1/3, whose fixed point 1/2 is a unit, as a composition
+        "affu": Compose((AffineQp(QpApprox(p3, -1, (1,) + (0,) * 29),
+                                  QpApprox(p3, -1, (1,) + (0,) * 29)),)),
         "psi": AffineZp(ZpApprox.from_int(18, p3, 12), ZpApprox.from_int(0, p3, 12)),
         "psi9": AffineZp(ZpApprox.from_int(18, p3, 12), ZpApprox.from_int(9, p3, 12)),
         "t21": TableMap(t21),
@@ -558,6 +584,17 @@ CLI_CORPUS = [
     ('conjugate --map affq.json --constructor qp-affine --horizon 8 --samples 5 '
      '--precision 12', 0,
      "18ef3e613e5a7e6f5b8cca1ee412bb542d2cffba6d63dbe036d3a002e9a831f9"),
+    # a composition states its folded affine fact, so it takes the bare map's routes
+    ('orbit --map affu.json --start "3^-2 * [1 2 0 1 0 2 1 1 0 2 1 0 1 2 0 1 1 1 2 0]" '
+     '--delta-exp 2 --steps 5 --back 5 --seed 7 --out orbu.txt', 0,
+     "486902ee0c204b4c8a6ecd53eec213ee8048d38e621168887ab261a810c0fb4f"),
+    ('shadow --map affu.json --orbit orbu.txt', 0,
+     "8d32b1094f5eda9ea110c570355fd675fc6c28080c4029feb18046a0ab94f4ee"),
+    ('shadow --map affu.json --orbit orbu.txt --solver affine-qp', 0,
+     "8d32b1094f5eda9ea110c570355fd675fc6c28080c4029feb18046a0ab94f4ee"),
+    ('conjugate --map affu.json --constructor qp-affine --horizon 8 --samples 5 '
+     '--precision 12', 0,
+     "f008865b598d314b9f9af124a188c25e5f9b8965a12f3d6960738609416821af"),
     ('oracle fixed-points --map tj.json --precision 8', 0,
      "eae8829e71216f1b3253f2e94144bdbe22df6f12d3b61691e3ad068eb5eea86f"),
     ('oracle arith --p 3 --precision 6 --samples 100 --seed 5', 0,

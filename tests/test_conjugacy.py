@@ -5,11 +5,13 @@ import random
 import pytest
 
 from padicdyn import conjugacy
-from padicdyn.core import PadicError, PNorm, PrecisionError, Prime, QpApprox, ZpApprox, distance
+from padicdyn.core import (PadicError, PNorm, PrecisionError, Prime, QpApprox, ZpApprox,
+                           distance, parse_value)
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
     Compose,
+    MapSpec,
     ScalingClass,
     ShiftPower,
     Substitution,
@@ -252,6 +254,44 @@ def test_shell_inverse_round_trip():
         assert back.digits[:m] == x.digits[:m]
 
 
+def test_shell_inverse_round_trip_at_any_precision():
+    # each shell's inverse iterates until its digits settle, about one step
+    # per digit, so deep values invert as exactly as shallow ones
+    p = Prime(3)
+    rng = random.Random(23)
+    for n in (80, 120, 200):
+        a = ZpApprox.from_int(3, p, n)
+        cm = affine_shell_conjugacy_map(a, AffineZp(ZpApprox.from_int(45, p, n),
+                                                    ZpApprox.from_int(0, p, n)))
+        for i in range(20):
+            unit = 1 + 3 * rng.randrange(3 ** (n - 1))
+            z = ZpApprox.from_int(3 ** (1 + i % 3) * unit, p, n)
+            back = cm.invert(cm(z))
+            m = min(back.precision, z.precision)
+            assert back.value % p**m == z.value % p**m, (n, i)
+
+
+def test_shell_fixed_point_at_any_precision():
+    # psi(0) = 9 needs the fixed point of z -> 3z + psi(z), one digit per step
+    p, n = Prime(3), 100
+    a = ZpApprox.from_int(3, p, n)
+    psi = AffineZp(ZpApprox.from_int(18, p, n), ZpApprox.from_int(9, p, n))
+    cm = affine_shell_conjugacy_map(a, psi)
+    zg = parse_value(cm.details["translation"])
+    assert zg.precision == n
+    assert not distance(a * zg + psi.apply(zg), zg).exact
+
+
+def test_shell_iteration_that_never_settles_is_refused():
+    # t -> (y - psi(t)) / a moves t by 1 + y/a every step: the shell's
+    # step cap, its precision + 2, runs out and is reported
+    p, n = Prime(3), 12
+    a = ZpApprox.from_int(3, p, n)
+    psi = AffineZp(ZpApprox.from_int(-3, p, n), ZpApprox.from_int(-3, p, n))
+    with pytest.raises(CertificationError, match="did not settle in 14 steps"):
+        conjugacy._invert_shell(a, psi, ZpApprox.from_int(3 * 5, p, n))
+
+
 def test_shell_lipschitz_certificate_rejected():
     p, n = Prime(3), 10
     a = ZpApprox.from_int(3, p, n)
@@ -277,6 +317,11 @@ def test_certify_contraction_factor():
     for psi in (short, Compose((short,))):
         with pytest.raises(CertificationError):
             certify_contraction_factor(psi, 2)
+    # the fact reaches nested compositions, and a substitution states its
+    # exponent 0 instead of being sampled
+    assert certify_contraction_factor(Compose((Compose((ok,)),)), 2) == "structural:composition"
+    with pytest.raises(CertificationError, match=r"structural:substitution: contracts by p\^-0"):
+        certify_contraction_factor(Substitution(p, ((0,), (1,), (2,))), 2)
 
 
 # -------------------------------------------------------------- qp affine
@@ -368,7 +413,7 @@ def test_qp_affine_rejects_isometry():
 
 def _qp_affine_maps():
     """Affine dilations and contractions with and without b, each also as a
-    one-part composition (which takes the generic inverse route)."""
+    one-part composition (which states the same affine fact)."""
     for p_int, val in ((2, -1), (3, -2), (2, 1), (3, 2)):
         p = Prime(p_int)
         a = QpApprox(p, val, (1, 1) + (0,) * 28)
@@ -400,6 +445,38 @@ def test_qp_affine_map_matches_the_per_point_conjugacy():
                     lambda x: qp_affine_conjugacy(g, x, horizon), x)
 
 
+class _NoAffineFact(MapSpec):
+    """A Q_p map that states its expansion exponent and inverse but not its
+    coefficients, so the conjugacy iterates to its fixed point."""
+
+    def __init__(self, spec):
+        self.prime, self.domain = spec.prime, spec.domain
+        self.apply, self.min_input_precision = spec.apply, spec.min_input_precision
+        self.inverse_spec, self.expansion_exponent = spec.inverse_spec, spec.expansion_exponent
+
+
+def test_qp_affine_h_depends_on_the_map_not_its_class():
+    # z -> z/3 + 1/3 has the unit fixed point 1/2; a one-part composition,
+    # a composition with the identity and a map without the affine fact all
+    # give bare g's h(x), errors included
+    p3 = Prime(3)
+    third = QpApprox(p3, -1, (1,) + (0,) * 29)
+    bare = [g for g in _qp_affine_maps() if not isinstance(g, Compose)]
+    rng = random.Random(22)
+    for g in bare + [AffineQp(third, third)]:
+        p = g.prime
+        identity = AffineQp(QpApprox(p, 0, (1,) + (0,) * 29), zero_q(p))
+        for horizon in (4, 10):
+            want = qp_affine_conjugacy_map(g, horizon)
+            others = [qp_affine_conjugacy_map(other, horizon) for other in
+                      (Compose((g,)), Compose((g, identity)), _NoAffineFact(g))]
+            for _ in range(12):
+                x = QpApprox(p, rng.randrange(-3, 2),
+                             tuple(rng.randrange(p) for _ in range(rng.randrange(2, 14))))
+                for cm in others:
+                    assert _h_outcome(cm, x) == _h_outcome(want, x), (g, x)
+
+
 def test_qp_affine_map_constants_are_computed_once(monkeypatch):
     calls = {"inverse_unit": 0, "certify_expansion": 0}
 
@@ -419,8 +496,8 @@ def test_qp_affine_map_constants_are_computed_once(monkeypatch):
         xs = [QpApprox(p, rng.randrange(-2, 2), tuple(rng.randrange(p) for _ in range(12)))
               for _ in range(8)]
         # an affine map inverts a, and b/(1-a) inverts 1-a; a composition
-        # inverts through its own parts
-        inverses = 0 if isinstance(g, Compose) else 1 + (g.b.value != 0)
+        # states its folded coefficients, so it makes the same inversions
+        inverses = 1 + (g.affine()[1].value != 0)
         for count in (1, 8):
             calls.update(inverse_unit=0, certify_expansion=0)
             cm = qp_affine_conjugacy_map(g, 10)

@@ -62,16 +62,16 @@ CASES = [
      {"klass", "table"}),
     (GaModZp(_qp(P2, -2, (1, 1))), {"klass"}),
     (GaModZp(_qp(P3, 1, (2,))), {"lipschitz"}),
-    (Substitution(P2, ((0, 1), (0,))), {"lipschitz"}),
-    (AffineZp(_zp(6, P3), _zp(5, P3)), {"lipschitz"}),
+    (Substitution(P2, ((0, 1), (0,))), {"lipschitz", "contraction"}),
+    (AffineZp(_zp(6, P3), _zp(5, P3)), {"lipschitz", "contraction"}),
     (MahlerMap(mahler_coefficients(AffineZp(_zp(3, P3), _zp(1, P3)), 4, 8)),
      {"lipschitz"}),
     (Compose((Substitution(P2, ((1,), (0,))), AffineZp(_zp(2, P2), _zp(1, P2)))),
-     {"lipschitz"}),
-    (AFFINE_QP_EXPANDING, {"expansion", "inverse"}),
-    (AFFINE_QP_CONTRACTING, {"expansion", "inverse"}),
+     {"lipschitz", "contraction"}),
+    (AFFINE_QP_EXPANDING, {"expansion", "inverse", "affine"}),
+    (AFFINE_QP_CONTRACTING, {"expansion", "inverse", "affine"}),
     (Compose((AFFINE_QP_EXPANDING, AffineQp(_qp(P3, -2, (1,)), _qp(P3, 0, ())))),
-     {"expansion", "inverse"}),
+     {"expansion", "inverse", "affine"}),
 ]
 
 
@@ -101,6 +101,20 @@ def test_facts_agree_with_fallbacks(spec, facts):
     if "lipschitz" in facts:
         assert spec.lipschitz_route(None).startswith(("structural:", "mahler-"))
         assert certify_one_lipschitz(opaque) == "sampled:256"
+    if "contraction" in facts:
+        # sampled pairs contract by at least the stated exponent
+        assert _sampled_contraction(opaque, spec.contraction_exponent(), 64, 10, 0)
+    else:
+        assert spec.contraction_exponent() is None
+    if "affine" in facts:
+        a, b = spec.affine()
+        rng = random.Random(p)
+        for _ in range(20):
+            x = QpApprox(spec.prime, rng.randrange(-2, 2),
+                         tuple(rng.randrange(p) for _ in range(12)))
+            assert not distance(a * x + b, spec.apply(x)).exact
+    else:
+        assert spec.affine() is None
     if "expansion" in facts:
         assert spec.expansion_exponent() == certify_expansion(opaque)
     else:
@@ -124,6 +138,8 @@ def test_a_plain_spec_states_no_fact():
     assert opaque.closed_form(1) is None
     assert opaque.lipschitz_route(None) is None
     assert opaque.expansion_exponent() is None
+    assert opaque.contraction_exponent() is None
+    assert opaque.affine() is None
     with pytest.raises(PadicError, match="no exact inverse available for _Opaque"):
         opaque.inverse_spec()
 
