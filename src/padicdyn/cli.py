@@ -269,8 +269,7 @@ def cmd_conjugate(args) -> dict:
     elif constructor == "qp-affine":
         cm = qp_affine_conjugacy_map(spec, args.horizon)
         k = cm.details["dilation_exponent"]
-        fact = spec.affine()
-        width = 24 if fact is None else fact[0].width
+        width = spec.affine()[0].width
         f_map = AffineQp(
             QpApprox(spec.prime, -k, (1,) + (0,) * (width - 1)),
             QpApprox(spec.prime, max(4 * abs(k), 16), (0,) * width))

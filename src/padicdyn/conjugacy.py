@@ -22,11 +22,10 @@ recomputable:
 
 * ``qp_affine_conjugacy`` -- a map with certified exact dilation p^k on Q_p
   is conjugate to f_{1/p^k, 0} by the isometry whose digit block j is the
-  first k digits of g^j(x - z*), for the fixed point z*; backward blocks
-  vanish because the backward orbit contracts to z*.  z* is b/(1-a) for a
-  map that states its affine fact z -> az + b, else the limit of the
-  contracting direction's iterates.  The exponent, translation, inverse
-  and steps are computed once per map.
+  first k digits of g^j(x - z*), for the fixed point z* = b/(1-a) of a map
+  that states its affine fact z -> az + b (any other map is refused);
+  backward blocks vanish because the backward orbit contracts to z*.  The
+  exponent, translation, inverse and steps are computed once per map.
 """
 
 from __future__ import annotations
@@ -207,10 +206,15 @@ def certify_contraction_factor(psi: MapSpec, min_exponent: int, *,
     e = psi.contraction_exponent()
     if e is None:
         return _sampled_contraction(psi, min_exponent, samples, precision, seed)
-    route = psi.lipschitz_route(None)
+    route = psi.lipschitz_route(_no_route)
     if e < min_exponent:
         raise CertificationError(f"{route}: contracts by p^-{e}, need p^-{min_exponent}")
     return route
+
+
+def _no_route(part: MapSpec):
+    raise CertificationError(
+        f"{type(part).__name__} states a contraction exponent but no Lipschitz route")
 
 
 def _limit(step, z, steps: int):
@@ -243,20 +247,22 @@ def affine_shell_conjugacy(a: ZpApprox, psi: MapSpec, z: ZpApprox) -> ZpApprox:
         raise ZeroAtPrecision("need ||a|| < 1 with an exact norm")
     K = na.exponent
     n = nz.exponent // K
+    p = a.prime
     if n == 0:
         return z
     a_inv_pow = inverse_unit(a)
     w_q = QpApprox.from_zp(z)
     for _ in range(n):
         w_q = w_q * a_inv_pow
-    cur = mod_zp(w_q)
+    w = mod_zp(w_q)
+    cur = w
     for _ in range(n):
         cur = a * cur + psi.apply(cur)
     got = cur.norm()
     if not (got.exact and got.exponent == nz.exponent):
         raise CertificationError(
-            f"shell assertion failed: ||z|| = {nz.describe(a.prime)} but "
-            f"||h(z)|| = {got.describe(a.prime)} (bad psi certificate)")
+            f"shell assertion failed: ||z|| = {nz.describe(p)} but "
+            f"||h(z)|| = {got.describe(p)} (bad psi certificate)")
     return cur
 
 
@@ -340,35 +346,25 @@ def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox) -> ZpApprox:
 
 def _qp_affine_h(g: MapSpec, horizon: int):
     """(k, translation or None, h): the certified exponent (0 refused first),
-    the fixed point, a^-1 or g^-1 and both steps are computed once; h walks
-    the orbit of x less the fixed point, one expanding step per block."""
+    b/(1-a), a^-1 and both steps are computed once; h walks x's orbit."""
     k = certify_expansion(g)
     if k == 0:
         raise CertificationError("||a|| = 1 is not an exact dilation or contraction")
+    fact = g.affine()
+    if fact is None:
+        raise PrecisionError("the qp-affine conjugacy needs a map that states z -> az + b")
     K = abs(k)
     p = g.prime
+    a, b = fact
     translation = None
-    fact = g.affine()
-    if fact is not None:
-        a, b = fact
-        if b.value:  # b / (1 - a), the fixed point of z -> az + b
-            translation = inverse_unit(QpApprox.from_int(1, p, max(a.width, b.width)) - a) * b
-        a_inv = inverse_unit(a)
-        steps = (lambda z: a * z), (lambda z: a_inv * z)
+    if b.value:  # b / (1 - a), the fixed point of z -> az + b
+        one = QpApprox.from_int(1, p, max(a.width, b.width))
+        translation = inverse_unit(one - a) * b
+    a_inv = inverse_unit(a)
+    if k > 0:
+        fwd_step, bwd_step = (lambda z: a * z), (lambda z: a_inv * z)
     else:
-        steps = g.apply, g.inverse_spec().apply
-    fwd_step, bwd_step = steps if k > 0 else steps[::-1]
-    if fact is None:
-        # the fixed point is the limit of the contracting bwd_step, read to
-        # the window end (horizon + 1) K of the blocks, where it is clipped
-        end = (horizon + 1) * K
-        o = QpApprox._of(p, end - 1, 1, 0)  # 0 + O(p^end)
-        z0 = bwd_step(o) + o
-        t = _limit(lambda z: bwd_step(z) + o, z0, end - z0.valuation_offset + 2)
-        if t.value:
-            translation = t
-            fwd_g, bwd_g = fwd_step, bwd_step
-            fwd_step, bwd_step = (lambda z: fwd_g(z + t) - t), (lambda z: bwd_g(z + t) - t)
+        fwd_step, bwd_step = (lambda z: a_inv * z), (lambda z: a * z)
     q = p**K
 
     def h(x: QpApprox) -> QpApprox:
@@ -414,9 +410,10 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
     0..k-1 of g^j(x); backward blocks are filled through the inverse until
     the backward orbit's valuation certifies that every remaining block is
     zero.  For k < 0 the same construction runs on g^-1, which conjugates g
-    to f_{1/p^k, 0} with k's original sign.  x is first translated by g's
-    fixed point, so the backward fixed point is 0; for an affine g (by its
-    fact) that is b/(1-a), and the orbit iteration a scalar multiplication.
+    to f_{1/p^k, 0} with k's original sign.  g must state its affine fact
+    z -> az + b (PrecisionError otherwise); with b != 0, x is first
+    translated by the fixed point b/(1-a) (so the orbit iteration is a pure
+    scalar multiplication and the backward fixed point is 0).
     """
     return _qp_affine_h(g, horizon)[2](x)
 

@@ -336,9 +336,9 @@ class MapSpec:
     ``closed_form(n)``, the count of points of period dividing n; the route
     that certifies it 1-Lipschitz; e with ||f(x)-f(y)|| <= p^-e ||x-y||;
     its exact expansion exponent on Q_p; an exact ``inverse_spec()``; the
-    coefficients (a, b) of z -> az + b.  Callers fall back to extraction,
-    sampling or iteration, and a composition runs that fallback ``sample``
-    on each part without the fact.  A fact that fails for the instance
+    coefficients (a, b) of z -> az + b.  Callers fall back to extraction or
+    sampling, or refuse, and a composition runs that fallback ``sample`` on
+    each part without the fact.  A fact that fails for the instance
     raises CertificationError.
     """
 

@@ -322,6 +322,18 @@ def test_certify_contraction_factor():
     assert certify_contraction_factor(Compose((Compose((ok,)),)), 2) == "structural:composition"
     with pytest.raises(CertificationError, match=r"structural:substitution: contracts by p\^-0"):
         certify_contraction_factor(Substitution(p, ((0,), (1,), (2,))), 2)
+    # a part that states an exponent but no route is refused, not sampled
+    with pytest.raises(CertificationError, match="_NoRoute states a contraction exponent"):
+        certify_contraction_factor(Compose((_NoRoute(ok),)), 2)
+
+
+class _NoRoute(MapSpec):
+    """A Z_p map that states its contraction exponent but no Lipschitz route."""
+
+    def __init__(self, spec):
+        self.prime, self.domain = spec.prime, spec.domain
+        self.apply, self.min_input_precision = spec.apply, spec.min_input_precision
+        self.contraction_exponent = spec.contraction_exponent
 
 
 # -------------------------------------------------------------- qp affine
@@ -447,7 +459,7 @@ def test_qp_affine_map_matches_the_per_point_conjugacy():
 
 class _NoAffineFact(MapSpec):
     """A Q_p map that states its expansion exponent and inverse but not its
-    coefficients, so the conjugacy iterates to its fixed point."""
+    coefficients."""
 
     def __init__(self, spec):
         self.prime, self.domain = spec.prime, spec.domain
@@ -456,9 +468,9 @@ class _NoAffineFact(MapSpec):
 
 
 def test_qp_affine_h_depends_on_the_map_not_its_class():
-    # z -> z/3 + 1/3 has the unit fixed point 1/2; a one-part composition,
-    # a composition with the identity and a map without the affine fact all
-    # give bare g's h(x), errors included
+    # z -> z/3 + 1/3 has the unit fixed point 1/2; a one-part composition
+    # and a composition with the identity give bare g's h(x), errors
+    # included, and a map without the affine fact is refused by name
     p3 = Prime(3)
     third = QpApprox(p3, -1, (1,) + (0,) * 29)
     bare = [g for g in _qp_affine_maps() if not isinstance(g, Compose)]
@@ -469,7 +481,9 @@ def test_qp_affine_h_depends_on_the_map_not_its_class():
         for horizon in (4, 10):
             want = qp_affine_conjugacy_map(g, horizon)
             others = [qp_affine_conjugacy_map(other, horizon) for other in
-                      (Compose((g,)), Compose((g, identity)), _NoAffineFact(g))]
+                      (Compose((g,)), Compose((g, identity)))]
+            with pytest.raises(PrecisionError, match="needs a map that states z -> az"):
+                qp_affine_conjugacy_map(_NoAffineFact(g), horizon)
             for _ in range(12):
                 x = QpApprox(p, rng.randrange(-3, 2),
                              tuple(rng.randrange(p) for _ in range(rng.randrange(2, 14))))

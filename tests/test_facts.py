@@ -102,6 +102,8 @@ def test_facts_agree_with_fallbacks(spec, facts):
         assert spec.lipschitz_route(None).startswith(("structural:", "mahler-"))
         assert certify_one_lipschitz(opaque) == "sampled:256"
     if "contraction" in facts:
+        # the contraction certificate is named by the map's Lipschitz route
+        assert "lipschitz" in facts
         # sampled pairs contract by at least the stated exponent
         assert _sampled_contraction(opaque, spec.contraction_exponent(), 64, 10, 0)
     else:
