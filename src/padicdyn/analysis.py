@@ -199,12 +199,12 @@ class ExpansivityReport:
 
 
 def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
-                      precision: int, *, exhaustive_limit: int = 256,
-                      sample_pairs: int = 2048, seed: int = 0,
-                      undecided_cap: int = 32) -> ExpansivityReport:
+                      precision: int, *, exhaustive_limit: int = 256) -> ExpansivityReport:
     """Find, for pairs of distinct truncations, the least n <= horizon with
-    d(f^n x, f^n y) > p^-c.  Pairs still below precision at the horizon are
-    reported as undecided, never silently counted as separated."""
+    d(f^n x, f^n y) > p^-c: all pairs up to ``exhaustive_limit`` inputs,
+    else 2048 seeded random pairs.  Pairs still below precision at the
+    horizon are reported as undecided (the first 32 listed), never silently
+    counted as separated."""
     p = map_like.prime
     f = map_like.apply
     N = precision
@@ -217,10 +217,10 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
         pair_list = [(a, b) for a in range(len(points)) for b in range(a + 1, len(points))]
     else:
         mode = "sampled"
-        rng = random.Random(seed)
+        rng = random.Random(0)
         points = []
         pair_list = []
-        for _ in range(sample_pairs):
+        for _ in range(2048):
             xi = rng.randrange(p**N)
             yi = rng.randrange(p**N)
             if xi == yi:
@@ -256,7 +256,7 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
                 hit = n
                 break
         if hit is None:
-            if len(undecided) < undecided_cap:
+            if len(undecided) < 32:
                 undecided.append((points[a].digits, points[b].digits))
         else:
             separated += 1
@@ -338,7 +338,7 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
     for idx in range(p**K):
         levels = [(idx, K)]
         for j in range(n):
-            levels.append(table.output_value(*levels[j], 0, 0))
+            levels.append(table.output_value(*levels[j]))
         if levels[n][1] < l:
             raise DepthExhausted(
                 f"the table cannot give the {l} head digits of iterate {n}")
@@ -347,7 +347,7 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
         seeds.append(_decode(idx, p, K))
         while levels[0][1] < precision and table.has_digit(levels[0][1] - m):
             i = levels[n][1]
-            _solve_next_digit(table, levels, n, i, levels[0][0] // p**i % p)
+            _solve_next_digit(table, levels, n, levels[0][0] // p**i % p)
         points.append(ZpApprox._of(p, levels[0][1], levels[0][0]))
     return FixedPointReport(
         map_id=map_id if n == 1 else f"{map_id}^({n})",

@@ -51,7 +51,6 @@ from .maps import (
     InconsistentScaling,
     MapSpec,
     ShiftPower,
-    Substitution,
     AffineZp,
     extract_table,
     load_spec,
@@ -169,7 +168,7 @@ def cmd_fixed_points(args) -> dict:
 def _auto_solver(spec: MapSpec) -> str:
     if spec.affine() is not None:
         return "affine-qp"
-    if isinstance(spec, (Substitution, AffineZp)):
+    if spec.contraction_exponent() is not None:
         return "lipschitz"
     return "scaling"
 

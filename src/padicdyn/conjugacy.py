@@ -119,8 +119,8 @@ def invert_shift_conjugacy(table: DigitFunctionTable, y: ZpApprox) -> ZpApprox:
         u = levels[0][1]
         n, r = divmod(u, k)
         if len(levels) <= n:
-            levels.append(table.output_value(*levels[n - 1], 0, 0))
-        _solve_next_digit(table, levels, n, r, y.value // p**u % p)
+            levels.append(table.output_value(*levels[n - 1]))
+        _solve_next_digit(table, levels, n, y.value // p**u % p)
     return ZpApprox._of(p, N, levels[0][0])
 
 
@@ -170,17 +170,16 @@ def conjugate_nearby(f_table: DigitFunctionTable, g_map, x: ZpApprox,
 
 
 def nearby_conjugacy(f_table: DigitFunctionTable, g_table: DigitFunctionTable,
-                     horizon: int, s: int = 0, *,
-                     hypothesis_depth: int | None = None) -> ConjugacyMap:
+                     horizon: int, s: int = 0) -> ConjugacyMap:
     """The conjugation h of two nearby locally scaling maps, plus its inverse
     built with the roles of f and g swapped.
 
     The hypothesis ||f-g||_inf <= p^-(l+s) (p^-(k+s) for m = k) is checked
-    exactly by exhaustive table comparison through ``hypothesis_depth``.
+    exactly by exhaustive table comparison of the digit functions below
+    that exponent, the only ones it constrains.
     """
     delta_exp = f_table.klass.delta_exponent(s)
-    depth = hypothesis_depth if hypothesis_depth is not None else delta_exp
-    i0 = table_sup_distance_exponent(f_table, g_table, depth)
+    i0 = table_sup_distance_exponent(f_table, g_table, delta_exp)
     if i0 is not None and i0 < delta_exp:
         raise CertificationError(
             f"||f-g||_inf = p^-{i0} exceeds the shadowing modulus p^-{delta_exp}")
@@ -194,18 +193,16 @@ def nearby_conjugacy(f_table: DigitFunctionTable, g_table: DigitFunctionTable,
     )
 
 
-def certify_contraction_factor(psi: MapSpec, min_exponent: int, *,
-                               samples: int = 256, precision: int = 12,
-                               seed: int = 0) -> str:
+def certify_contraction_factor(psi: MapSpec, min_exponent: int) -> str:
     """Certify ||psi(x)-psi(y)|| <= p^-min_exponent * ||x-y||.
 
     A map that states its contraction exponent is certified by that fact,
-    under the name of its Lipschitz route; otherwise seeded sample pairs are
-    checked and the method is recorded as sampled.
+    under the name of its Lipschitz route; otherwise 256 seeded sample pairs
+    are checked and the method is recorded as sampled.
     """
     e = psi.contraction_exponent()
     if e is None:
-        return _sampled_contraction(psi, min_exponent, samples, precision, seed)
+        return _sampled_contraction(psi, min_exponent, 256, 12, 0)
     route = psi.lipschitz_route(_no_route)
     if e < min_exponent:
         raise CertificationError(f"{route}: contracts by p^-{e}, need p^-{min_exponent}")

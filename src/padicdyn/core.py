@@ -332,10 +332,6 @@ class QpApprox:
             raise PrecisionError(f"digit p^{i} is beyond the window end {self.window_end}")
         return self.value // self.prime ** (i - self.valuation_offset) % self.prime
 
-    def shift(self, j: int) -> "QpApprox":
-        """Multiply by p^j (an exact window shift)."""
-        return QpApprox._of(self.prime, self.valuation_offset + j, self.width, self.value)
-
     def norm(self) -> PNorm:
         e = self.valuation_offset + _val(self.value, self.prime, self.width)
         return PNorm(e, exact=self.value != 0)

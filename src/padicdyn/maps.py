@@ -196,21 +196,19 @@ class DigitFunctionTable:
             return target
         raise DepthExhausted(f"no digit function at output index {i}")
 
-    def output_value(self, x: int, n: int, y: int, start: int) -> tuple:
-        """Extend the output ``y``, known to ``start`` digits, at an input
-        known to ``n`` digits as ``x`` = input mod p^n: returns (y, length)
-        with every output digit those n digits determine, up to the table's
-        depth.  Digit function i >= l reads row x mod p^(m+i+1), a head
-        function row x mod p^k.  Raises :class:`DepthExhausted` when a head
-        function (i < l) is not stored."""
+    def output_value(self, x: int, n: int) -> tuple:
+        """The output at an input known to ``n`` digits as ``x`` = input mod
+        p^n: returns (y, length) with every output digit those n digits
+        determine, up to the table's depth.  Digit function i >= l reads row
+        x mod p^(m+i+1), a head function row x mod p^k.  Raises
+        :class:`DepthExhausted` when a head function (i < l) is not stored."""
         k, m, l, depth = self.klass.k, self.klass.m, self.l, self.stored_depth
         if n < k:
-            return y, start
-        p, tables, i = self.prime, self.tables, start
-        pw = p**i
-        if i < l:
+            return 0, 0
+        p, tables, y, i, pw = self.prime, self.tables, 0, 0, 1
+        if l:
             if depth < l:
-                raise DepthExhausted(f"no digit function at output index {max(i, depth)}")
+                raise DepthExhausted(f"no digit function at output index {depth}")
             row = x % p**k
             while i < l:
                 y += tables[i][row] * pw
@@ -244,7 +242,7 @@ class DigitFunctionTable:
             )
         if not (self.tail_projection or self.stored_depth):
             raise DepthExhausted("table depth exhausted before the first digit")
-        y, n = self.output_value(x.value, x.precision, 0, 0)
+        y, n = self.output_value(x.value, x.precision)
         return ZpApprox._of(self.prime, n, y)
 
     def images(self, n: int) -> tuple:
@@ -252,7 +250,7 @@ class DigitFunctionTable:
         p, k, m, l = self.prime, self.klass.k, self.klass.m, self.l
         if n < k or n <= m or not (self.tail_projection or self.stored_depth):
             self.apply(ZpApprox._of(p, n, 0))  # raises apply's refusal
-        n_out = self.output_value(0, n, 0, 0)[1]  # DepthExhausted without the heads
+        n_out = self.output_value(0, n)[1]  # DepthExhausted without the heads
         vals, stored = [0] * p**k, min(n_out, self.stored_depth)
         for i in range(stored):  # from the residues mod p^(m+i) to mod p^(m+i+1)
             pw = p**i
@@ -337,9 +335,10 @@ class MapSpec:
     that certifies it 1-Lipschitz; e with ||f(x)-f(y)|| <= p^-e ||x-y||;
     its exact expansion exponent on Q_p; an exact ``inverse_spec()``; the
     coefficients (a, b) of z -> az + b.  Callers fall back to extraction or
-    sampling, or refuse, and a composition runs that fallback ``sample`` on
-    each part without the fact.  A fact that fails for the instance
-    raises CertificationError.
+    sampling, or refuse; a composition runs the Lipschitz fallback
+    ``sample`` on each part without a route, and states an exponent only
+    when every part states one.  A fact that fails for the instance raises
+    CertificationError.
     """
 
     domain = "zp"
@@ -357,7 +356,7 @@ class MapSpec:
     def contraction_exponent(self):
         return None
 
-    def expansion_exponent(self, sample=lambda spec: None):
+    def expansion_exponent(self):
         return None
 
     def affine(self):
@@ -526,7 +525,7 @@ class AffineZp(MapSpec):
 
     def __post_init__(self):
         if self.a.prime != self.b.prime:
-            raise PadicError("a and b must share a prime")
+            raise ValueError("a and b must share a prime")
 
     @property
     def prime(self) -> Prime:
@@ -565,7 +564,7 @@ class AffineQp(MapSpec):
 
     def __post_init__(self):
         if self.a.prime != self.b.prime:
-            raise PadicError("a and b must share a prime")
+            raise ValueError("a and b must share a prime")
         if not self.a.value:
             raise ZeroAtPrecision("a is indistinguishable from zero")
 
@@ -577,7 +576,7 @@ class AffineQp(MapSpec):
         self._check_domain(x)
         return self.a * x + self.b
 
-    def expansion_exponent(self, sample=lambda spec: None) -> int:
+    def expansion_exponent(self) -> int:
         return -self.a.normalize().valuation_offset
 
     def affine(self) -> tuple:
@@ -761,7 +760,7 @@ class Compose(MapSpec):
             raise ValueError("Compose needs at least one part")
         primes = {part.prime for part in self.parts}
         if len(primes) != 1:
-            raise PadicError("all parts must share a prime")
+            raise ValueError("all parts must share a prime")
 
     @property
     def prime(self) -> Prime:
@@ -793,16 +792,10 @@ class Compose(MapSpec):
         exps = [part.contraction_exponent() for part in self.parts]
         return None if None in exps else sum(exps)
 
-    def expansion_exponent(self, sample=lambda spec: None) -> int | None:
-        # exact scaling constants add up; a part without the fact is sampled
-        total = 0
-        for part in self.parts:
-            k = part.expansion_exponent(sample)
-            k = sample(part) if k is None else k
-            if k is None:
-                return None
-            total += k
-        return total
+    def expansion_exponent(self) -> int | None:
+        # exact scaling constants add up; a part without one leaves the sum unknown
+        exps = [part.expansion_exponent() for part in self.parts]
+        return None if None in exps else sum(exps)
 
     def affine(self) -> tuple | None:
         # z -> a2 (a1 z + b1) + b2, when every part states its coefficients

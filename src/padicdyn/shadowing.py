@@ -258,10 +258,10 @@ def _certified(f, f_inv, point, orbit: PseudoOrbit, bound: int, solver: str,
 
 
 def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
-                      digit_index: int, target: int) -> None:
-    """Append to ``levels[0]`` the one digit that makes digit ``digit_index``
-    of f^n equal ``target``, then extend by one digit each level that is
-    read again: those from the walk's stop up to n.
+                      target: int) -> None:
+    """Append to ``levels[0]`` the one digit that makes the next digit of
+    f^n (digit ``levels[n][1]``) equal ``target``, then extend by one digit
+    each level that is read again: those from the walk's stop up to n.
 
     ``levels[j]`` is a digit stream (value, length): f^j(levels[0]) modulo
     p^length, with every digit that levels[0] determines, so level j-1 is m
@@ -288,8 +288,7 @@ def _solve_next_digit(table: DigitFunctionTable, levels: list, n: int,
     # level 1, at digit index levels[0][1] - m, runs out of table first
     if not table.has_digit(levels[0][1] - m):
         raise ConstraintUnsolvable(n, levels[0][1] - m, "table depth exhausted")
-    if levels[n][1] != digit_index:
-        raise PadicError("internal: cascade index drift")
+    digit_index = levels[n][1]
     inverse, digit_value = table.inverse_value, table.digit_value
     d, j = target, n
     try:
@@ -344,7 +343,7 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
     head = p ** (l + s)
     levels = [(orbit.points[0].value % p ** (k + s), k + s)]
     for n in range(1, T + 1):
-        levels.append(table.output_value(*levels[n - 1], 0, 0))
+        levels.append(table.output_value(*levels[n - 1]))
         zn, length = levels[n]
         x_n = orbit.points[n].value
         if length != l + s:
@@ -356,7 +355,7 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
                 n, _val(zn - x_n, p, 0), "automatic digits disagree: the orbit's "
                 "certified delta is violated")
         for i in range(l + s, k + s):
-            _solve_next_digit(table, levels, n, i, x_n // p**i % p)
+            _solve_next_digit(table, levels, n, x_n // p**i % p)
         # the proof's progress invariant: y determined through (n+1)k - nl + s - 1
         if levels[0][1] != (n + 1) * k - n * l + s:
             raise PadicError(
@@ -373,18 +372,17 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
         {"s": s, "epsilon_exponent": k + s, "delta_exponent": delta_exp}, PadicError)
 
 
-def certify_one_lipschitz(map_like, *, samples: int = 256, precision: int = 10,
-                          seed: int = 0):
+def certify_one_lipschitz(map_like):
     """Certify that a Z_p map is 1-Lipschitz; returns the method used.
 
     The map's own route (:meth:`MapSpec.lipschitz_route`: substitutions,
     affine maps, g_a with ||a|| <= 1, the Mahler criterion, compositions
     part by part) is used when it states one; anything else is checked on
-    seeded sample pairs.  Raises :class:`CertificationError` with a witness
-    when the route fails or a sampled pair certifiably expands.
+    256 seeded sample pairs.  Raises :class:`CertificationError` with a
+    witness when the route fails or a sampled pair certifiably expands.
     """
-    sample = partial(_sampled_contraction, min_exponent=0, samples=samples,
-                     precision=precision, seed=seed)
+    sample = partial(_sampled_contraction, min_exponent=0, samples=256,
+                     precision=10, seed=0)
     return map_like.lipschitz_route(sample) or sample(map_like)
 
 
@@ -460,40 +458,14 @@ def shadow_affine_qp(a: QpApprox, b: QpApprox, orbit: PseudoOrbit) -> ShadowResu
                       {"branch": branch, "delta": delta.describe(spec.prime)}, PadicError)
 
 
-def certify_expansion(spec: MapSpec, *, samples: int = 128, seed: int = 0) -> int:
-    """Certify an exact expansion constant p^k for a Q_p spec.
-
-    The spec's own exponent is used when it states one (affine maps and
-    compositions of them); otherwise seeded sample pairs must all scale by
-    the same exact power, which is returned.
-    """
-    sample = partial(_sampled_expansion, samples=samples, seed=seed)
-    k = spec.expansion_exponent(sample)
-    return sample(spec) if k is None else k
-
-
-def _sampled_expansion(spec: MapSpec, samples: int, seed: int) -> int:
-    rng = random.Random(seed)
-    p = spec.prime
-    k = None
-    for _ in range(samples):
-        v = rng.randrange(-3, 3)
-        x = QpApprox(p, v, tuple(rng.randrange(p) for _ in range(12)))
-        y = QpApprox(p, v, tuple(rng.randrange(p) for _ in range(12)))
-        din = distance(x, y)
-        if not din.exact:
-            continue
-        dout = distance(spec.apply(x), spec.apply(y))
-        if not dout.exact:
-            continue
-        scale = din.exponent - dout.exponent
-        if k is None:
-            k = scale
-        elif k != scale:
-            raise CertificationError(
-                f"scaling is not exact: saw p^{k} and p^{scale}")
+def certify_expansion(spec: MapSpec) -> int:
+    """The exact expansion constant p^k that a Q_p spec states (affine maps
+    and compositions of them).  A spec that states none is refused with
+    PrecisionError: sample pairs cannot certify an exact constant."""
+    k = spec.expansion_exponent()
     if k is None:
-        raise CertificationError("no pair with certifiable distances")
+        where = "" if spec.domain == "qp" else f" (domain mismatch: it acts on {spec.domain})"
+        raise PrecisionError(f"{type(spec).__name__} states no exact expansion constant{where}")
     return k
 
 

@@ -8,7 +8,10 @@ once per truncation and replays the table's ``images``.  These are the
 loops they replaced, kept as the tests' references: every stratum reduces
 all p^N images again, every pair recomputes its powers and builds its
 inputs with ``from_int``, and every table entry is its own spec evaluation,
-replayed through ``apply`` one truncation at a time.  The module is not
+replayed through ``apply`` one truncation at a time.  ``sampled_expansion``
+is the seeded pair sampler that once certified a Q_p map's expansion
+constant; the library now refuses a map that does not state it, and the
+tests check every stated constant against the sampler.  The module is not
 collected by pytest (no ``test_`` prefix); test modules import it by name,
 since pytest puts their own directory on ``sys.path``.
 """
@@ -16,8 +19,9 @@ since pytest puts their own directory on ``sys.path``.
 import random
 
 from padicdyn.analysis import _scaling_miss
-from padicdyn.core import ZpApprox, _val
+from padicdyn.core import QpApprox, ZpApprox, _val, distance
 from padicdyn.maps import (
+    CertificationError,
     DigitFunctionTable,
     InconsistentScaling,
     _check_budget,
@@ -84,3 +88,29 @@ def entrywise_extract_table(spec, klass, depth):
                 raise InconsistentScaling(_val(diff, p, 0), _decode(idx, p, L),
                                           (d,) * pad_width)
     return table
+
+
+def sampled_expansion(spec):
+    """The exponent k with ||f(x) - f(y)|| = p^k ||x - y|| on 128 seeded
+    sample pairs of Q_p values; pairs without exact distances are skipped."""
+    rng = random.Random(0)
+    p = spec.prime
+    k = None
+    for _ in range(128):
+        v = rng.randrange(-3, 3)
+        x = QpApprox(p, v, tuple(rng.randrange(p) for _ in range(12)))
+        y = QpApprox(p, v, tuple(rng.randrange(p) for _ in range(12)))
+        din = distance(x, y)
+        if not din.exact:
+            continue
+        dout = distance(spec.apply(x), spec.apply(y))
+        if not dout.exact:
+            continue
+        scale = din.exponent - dout.exponent
+        if k is None:
+            k = scale
+        elif k != scale:
+            raise CertificationError(f"scaling is not exact: saw p^{k} and p^{scale}")
+    if k is None:
+        raise CertificationError("no pair with certifiable distances")
+    return k

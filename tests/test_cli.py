@@ -270,6 +270,15 @@ def test_exit_codes(specs, capsys, tmp_path):
         bad.write_text(text)
         assert main(["validate", "--map", str(bad)]) == 2, text
         capsys.readouterr()
+    # parse error: parts or coefficients over different primes
+    for text in ('{"type":"compose","parts":[{"type":"shift_power","p":2,"m":1},'
+                 '{"type":"shift_power","p":3,"m":1}]}',
+                 '{"type":"affine_zp","a":"2^0 * [1 0]","b":"3^0 * [1 0]"}',
+                 '{"type":"affine_qp","a":"2^-1 * [1 0]","b":"3^0 * [1 0]"}'):
+        bad.write_text(text)
+        for command in ("fixed-points", "validate", "mahler"):
+            assert main([command, "--map", str(bad)]) == 2, (command, text)
+            assert "cannot parse map spec" in capsys.readouterr().err, (command, text)
     # parse error: an oracle mode without the file options it reads
     for command in (["oracle", "shadow", "--map", str(shift_path)],
                     ["oracle", "fixed-points"]):
@@ -495,6 +504,9 @@ def _write_corpus_inputs():
         "tj": Tj(p2, 1, 2),
         "rmap": Rmap(p2, 1),
         "sub": Substitution(p2, ((0, 1), (0,))),
+        # the substitution followed by the identity, a map with the same orbits
+        "subid": Compose((Substitution(p2, ((0, 1), (0,))),
+                          AffineZp(ZpApprox.from_int(1, p2, 12), ZpApprox.from_int(0, p2, 12)))),
         "affq": AffineQp(QpApprox(p3, -1, (1,) + (0,) * 29),
                          QpApprox(p3, 0, (2,) + (0,) * 29)),
         "affc": AffineQp(QpApprox(p3, 1, (2, 1) + (0,) * 28),
@@ -552,6 +564,9 @@ CLI_CORPUS = [
      "0e3c0ab912bc3458ce296a16a57fecc6b1d620e623afc35b80c9fc5c700b63d0"),
     ('shadow --map sub.json --orbit orbs.txt', 0,
      "0103b311883a28ec43ef50be87bc479c14a9b8a53d1df70f6c81e4aed48c40af"),
+    # a composition that states a contraction exponent takes the Lipschitz solver
+    ('shadow --map subid.json --orbit orbs.txt', 0,
+     "48a84800447bf561679e68be7fceefee730125fbf5a36d859647ccd0f0cf9abc"),
     ('orbit --map affq.json --start "3^-2 * [1 2 0 1 0 2 1 1 0 2 1 0 1 2 0 1 1 1 2 0]" '
      '--delta-exp 2 --steps 5 --back 5 --seed 7 --out orbq.txt', 0,
      "181f461a8bd2c72359a288b0cf6378d7fa52f9c0a9a5bee9f35f73ca4195baf7"),

@@ -6,7 +6,8 @@ import pytest
 
 import padicdyn
 from padicdyn import conjugacy, maps, shadowing
-from padicdyn.core import PadicError, Prime, QpApprox, ZpApprox, distance
+from padicdyn.conjugacy import qp_affine_conjugacy_map
+from padicdyn.core import PadicError, PrecisionError, Prime, QpApprox, ZpApprox, distance
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
@@ -26,7 +27,14 @@ from padicdyn.maps import (
     table_sup_distance_exponent,
 )
 from padicdyn.oracle import brute_fixed_point_count
-from padicdyn.shadowing import _sampled_contraction, certify_expansion, certify_one_lipschitz
+from padicdyn.shadowing import (
+    _sampled_contraction,
+    certify_expansion,
+    certify_one_lipschitz,
+    perturb_orbit,
+    shadow_dilatation,
+)
+from scaling_reference import sampled_expansion
 
 
 class _Opaque(MapSpec):
@@ -118,7 +126,7 @@ def test_facts_agree_with_fallbacks(spec, facts):
     else:
         assert spec.affine() is None
     if "expansion" in facts:
-        assert spec.expansion_exponent() == certify_expansion(opaque)
+        assert spec.expansion_exponent() == sampled_expansion(opaque)
     else:
         assert spec.expansion_exponent() is None
     if "inverse" in facts:
@@ -147,8 +155,8 @@ def test_a_plain_spec_states_no_fact():
 
 
 def test_compose_certifies_parts_without_facts_by_the_fallback():
-    # the opaque part has no route, so it is sampled on its own, as is the
-    # expansion of an opaque Q_p part
+    # the opaque part has no route, so it is sampled on its own; an opaque
+    # Q_p part states no expansion exponent, so neither does the composition
     sub = _Opaque(Substitution(P2, ((1,), (0,))))
     comp = Compose((sub, AffineZp(_zp(2, P2), _zp(1, P2))))
     seen = []
@@ -161,8 +169,21 @@ def test_compose_certifies_parts_without_facts_by_the_fallback():
     assert seen == [sub]
     qcomp = Compose((_Opaque(AFFINE_QP_EXPANDING),
                      AffineQp(_qp(P3, -2, (1,)), _qp(P3, 0, ()))))
-    assert certify_expansion(qcomp) == 1 + 2
+    with pytest.raises(PrecisionError, match="states no exact expansion constant"):
+        certify_expansion(qcomp)
     assert qcomp.expansion_exponent() is None
+
+
+def test_a_q_p_map_without_a_stated_constant_is_refused():
+    # sample pairs cannot certify an exact constant, so the dilatation
+    # solver and the qp-affine conjugacy refuse a map that states none
+    opaque = _Opaque(AFFINE_QP_EXPANDING)
+    orbit = perturb_orbit(AFFINE_QP_EXPANDING, _qp(P3, -1, (1, 2)), 2, 3, seed=0)
+    for refused in (lambda: certify_expansion(opaque),
+                    lambda: shadow_dilatation(opaque, orbit),
+                    lambda: qp_affine_conjugacy_map(opaque, 4)):
+        with pytest.raises(PrecisionError, match="states no exact expansion constant"):
+            refused()
 
 
 def test_compose_lipschitz_reports_a_failing_part():
@@ -183,6 +204,8 @@ def test_every_public_name_resolves():
         assert getattr(padicdyn, name) is not None, name
     assert shadowing.CertificationError is maps.CertificationError
     assert conjugacy.CertificationError is maps.CertificationError
-    for gone in ("scaling_class_of", "invert_spec", "_two_sided_distances"):
+    for gone in ("scaling_class_of", "invert_spec", "_two_sided_distances",
+                 "_sampled_expansion"):
         assert not hasattr(maps, gone) and not hasattr(shadowing, gone), gone
     assert not hasattr(AffineQp, "scaling_exponent")
+    assert not hasattr(QpApprox, "shift")

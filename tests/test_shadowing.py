@@ -248,7 +248,7 @@ def _tower(table, level0, n):
     (value, length) computed afresh by the forward kernel."""
     levels = [level0]
     for j in range(n):
-        levels.append(table.output_value(*levels[j], 0, 0))
+        levels.append(table.output_value(*levels[j]))
     return levels
 
 
@@ -287,7 +287,7 @@ def test_solve_next_digit_agrees_with_candidate_search():
                 # the walk stops at the highest level past the stored depth
                 stop = max([j for j in range(1, n + 1) if tower[j][1] >= depth],
                            default=0)
-                _solve_next_digit(table, levels, n, i, target)
+                _solve_next_digit(table, levels, n, target)
                 assert _digit(levels[0], levels[0][1] - 1, p) == want[0]
                 assert _digit(levels[n], i, p) == target
                 tower = _tower(table, levels[0], n)
@@ -337,7 +337,7 @@ def test_solve_step_writes_are_pinned():
     per_digit = []
     for _ in range(30):
         before = levels.writes
-        _solve_next_digit(table, levels, n, levels[n][1], rng.randrange(2))
+        _solve_next_digit(table, levels, n, rng.randrange(2))
         per_digit.append(levels.writes - before)
     assert max(per_digit) <= -(-table.stored_depth // table.klass.m) + 2
     assert per_digit[:4] == [5, 4, 3, 2]
@@ -389,7 +389,7 @@ def test_wrong_inverse_fails_the_forward_recheck():
     object.__setattr__(table, "inverse_value",
                        lambda j, prefix, target: inverse(j, prefix, target) ^ (j == i))
     with pytest.raises(ConstraintUnsolvable, match="fails the forward tables"):
-        _solve_next_digit(table, levels, n, i, 1)
+        _solve_next_digit(table, levels, n, 1)
     assert _digit(levels[0], levels[0][1] - 1, 2) == 1 - want[0]
 
 
@@ -407,7 +407,7 @@ def test_non_bijective_row_fails_the_solve():
     object.__setattr__(table, "tables",
                        table.tables[:i] + (tuple(row),) + table.tables[i + 1:])
     with pytest.raises(ConstraintUnsolvable, match="misses a value"):
-        _solve_next_digit(table, levels, n, i, 1)
+        _solve_next_digit(table, levels, n, 1)
 
 
 def test_shadow_monotone_in_delta():
@@ -667,8 +667,8 @@ class _Rewired:
     def apply(self, x):
         return self.base.apply(x)
 
-    def expansion_exponent(self, sample):
-        return self.base.expansion_exponent(sample) if self.k is None else self.k
+    def expansion_exponent(self):
+        return self.base.expansion_exponent() if self.k is None else self.k
 
     def inverse_spec(self):
         return self.base.inverse_spec() if self.inverse is None else self.inverse
