@@ -118,10 +118,10 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     the pairs walked up to it as the count.  A caller-raised limit above
     ``maps.ENTRY_BUDGET`` is refused before any image is computed.  Above
     the limit, ``per_stratum`` seeded random pairs per distance stratum are
-    checked, and the first violating one is the witness.
+    checked on ``output_value`` (the first x through ``apply`` too, for a
+    table's refusals), and the first violating one is the witness.
     """
     p = map_like.prime
-    f = map_like.apply
     k, m = klass.k, klass.m
     N = precision
     if N < k + m + 1:
@@ -152,7 +152,7 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
         return ScalingReport(klass, True, None, pairs, mode)
 
     mode = "stratified"
-    pairs = 0
+    f, pairs = map_like.output_value, 0
     rng = random.Random(seed)
     for j in strata:
         pN, pj, rest = p**N, p**j, p ** (N - j - 1)
@@ -162,9 +162,9 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
             hi = rng.randrange(rest) if rest > 1 else 0
             yi = xi % pj + (yj + hi * p) * pj
             pairs += 1
-            fx = f(ZpApprox._of(p, N, xi))
-            fy = f(ZpApprox._of(p, N, yi))
-            got = _scaling_miss(fx.value, fx.precision, fy.value, fy.precision, p, j - m)
+            if pairs == 1:
+                map_like.apply(ZpApprox._of(p, N, xi))
+            got = _scaling_miss(*f(xi, N), *f(yi, N), p, j - m)
             if got is not None:
                 return ScalingReport(
                     klass, False, (_decode(xi, p, N), _decode(yi, p, N), j - m, got),

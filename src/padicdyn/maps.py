@@ -18,8 +18,9 @@ Every map object -- the map specifications (:class:`ShiftPower`,
 :class:`Tj`, :class:`Rmap`, affine maps, substitutions, tables, Mahler
 series, compositions) and :class:`DigitFunctionTable` -- answers to
 ``prime``, ``apply(x)`` and ``images(n)`` (``apply`` on every residue mod
-p^n); a result carries exactly the digits the input determines.
-Each spec class states the facts its definition proves (see :class:`MapSpec`).
+p^n), which a Z_p map computes from one integer kernel, ``output_value(x, n)``;
+a result carries exactly the digits the input determines.  Each spec class
+states the facts its definition proves (see :class:`MapSpec`).
 Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import (
     PadicError,
@@ -37,10 +39,10 @@ from .core import (
     ZeroAtPrecision,
     ZpApprox,
     _digits_from_int as _decode,
+    _int_from_digits,
     _val,
     encode_value,
     inverse_unit,
-    mod_zp,
     parse_value,
 )
 from .mahler import (MahlerSeries, legendre_valuation, mahler_eval, one_lipschitz_report,
@@ -228,28 +230,31 @@ class DigitFunctionTable:
             return y + x // p ** (m + i) * pw, stop
         return y, i
 
+    def check_precision(self, n: int) -> None:
+        """Raise ``apply``'s refusal where n input digits give no output digit."""
+        k, m = self.klass.k, self.klass.m
+        if n < k or n <= m:
+            raise PrecisionError(
+                f"precision {n} cannot determine any output digit of a "
+                f"({self.prime}^-{k}, {self.prime}^{m}) table map"
+            )
+        if not (self.tail_projection or self.stored_depth):
+            raise DepthExhausted("table depth exhausted before the first digit")
+
     def apply(self, x: ZpApprox) -> ZpApprox:
         """Apply the map; the result has precision N - (k-l), capped by depth."""
         if not isinstance(x, ZpApprox):
             raise PrecisionError(f"domain mismatch: a table acts on zp, got {type(x).__name__}")
         if x.prime != self.prime:
             raise PrimeMismatch(f"primes {x.prime} and {self.prime}")
-        k, m = self.klass.k, self.klass.m
-        if x.precision < k or x.precision <= m:
-            raise PrecisionError(
-                f"precision {x.precision} cannot determine any output digit of a "
-                f"({self.prime}^-{k}, {self.prime}^{m}) table map"
-            )
-        if not (self.tail_projection or self.stored_depth):
-            raise DepthExhausted("table depth exhausted before the first digit")
+        self.check_precision(x.precision)
         y, n = self.output_value(x.value, x.precision)
         return ZpApprox._of(self.prime, n, y)
 
     def images(self, n: int) -> tuple:
         """``apply`` on every residue x mod p^n, in order of x: (values, precisions)."""
         p, k, m, l = self.prime, self.klass.k, self.klass.m, self.l
-        if n < k or n <= m or not (self.tail_projection or self.stored_depth):
-            self.apply(ZpApprox._of(p, n, 0))  # raises apply's refusal
+        self.check_precision(n)
         n_out = self.output_value(0, n)[1]  # DepthExhausted without the heads
         vals, stored = [0] * p**k, min(n_out, self.stored_depth)
         for i in range(stored):  # from the residues mod p^(m+i) to mod p^(m+i+1)
@@ -327,7 +332,9 @@ def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
 
 class MapSpec:
     """Base class for serializable map descriptions.  Subclasses set
-    ``domain`` to "zp" or "qp" and implement ``apply``.
+    ``domain`` to "zp" or "qp".  A Z_p class implements the integer kernel
+    ``output_value(x, n) -> (y, length)`` on residues x mod p^n, and ``apply``
+    and ``images`` are defined once, on it; a Q_p class implements ``apply``.
 
     Each subclass states the facts its definition proves, "not known" (None)
     by default: ``klass``, the scaling class; ``structural_table()``;
@@ -365,13 +372,19 @@ class MapSpec:
     def inverse_spec(self) -> "MapSpec":
         raise PrecisionError(f"no exact inverse available for {type(self).__name__}")
 
-    def apply(self, x):
+    def output_value(self, x: int, n: int) -> tuple:
+        self._check_domain(ZpApprox._of(self.prime, n, x))  # a Q_p map refuses
         raise NotImplementedError
 
+    def apply(self, x):
+        self._check_domain(x)
+        y, n = self.output_value(x.value, x.precision)
+        return ZpApprox._of(self.prime, n, y)
+
     def images(self, n: int) -> tuple:
-        """``apply`` on every residue x mod p^n, in order of x: (values, precisions)."""
-        ys = [self.apply(ZpApprox._of(self.prime, n, x)) for x in range(self.prime**n)]
-        return [y.value for y in ys], [y.precision for y in ys]
+        """``output_value`` on every residue x mod p^n, in order of x: (values, precisions)."""
+        ys = [self.output_value(x, n) for x in range(self.prime**n)]
+        return [y for y, _ in ys], [length for _, length in ys]
 
     def __call__(self, x):
         return self.apply(x)
@@ -406,11 +419,10 @@ class ShiftPower(MapSpec):
             raise ValueError("shift power must be >= 1")
         object.__setattr__(self, "klass", ScalingClass(self.m, self.m))
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        self._check_domain(x)
-        if x.precision <= self.m:
+    def output_value(self, x: int, n: int) -> tuple:
+        if n <= self.m:
             raise PrecisionError(f"need more than {self.m} digits to shift by {self.m}")
-        return ZpApprox._of(x.prime, x.precision - self.m, x.value // x.prime**self.m)
+        return x // self.prime**self.m, n - self.m
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out + self.m
@@ -443,15 +455,12 @@ class Tj(MapSpec):
             raise ValueError("need m >= 1 and j >= 0")
         object.__setattr__(self, "klass", ScalingClass(self.m + self.j, self.m))
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        self._check_domain(x)
-        p, j = x.prime, self.j
-        n_out = max(min(x.precision, j), x.precision - self.m)
+    def output_value(self, x: int, n: int) -> tuple:
+        p, j = self.prime, self.j
+        n_out = max(min(n, j), n - self.m)
         if n_out < 1:
             raise PrecisionError("not enough digits for T_j")
-        if n_out <= j:
-            return ZpApprox._of(p, n_out, x.value % p**n_out)
-        return ZpApprox._of(p, n_out, x.value % p**j + x.value // p**(self.m + j) * p**j)
+        return x % p**j + x // p**(self.m + j) * p**j, n_out  # x < p^(m+j) if n_out <= j
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out if n_out <= self.j else n_out + self.m
@@ -487,13 +496,13 @@ class Rmap(MapSpec):
             raise ValueError("need m >= 1")
         object.__setattr__(self, "klass", ScalingClass(self.m + 1, self.m))
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        self._check_domain(x)
-        if x.precision <= self.m:
+    def output_value(self, x: int, n: int) -> tuple:
+        p, m = self.prime, self.m
+        if n <= m:
             raise PrecisionError("not enough digits for R")
-        if x.value % self.prime != self.prime - 1:
-            return ZpApprox._of(x.prime, x.precision - self.m, x.value // x.prime**self.m)
-        return Tj(self.prime, self.m, 1).apply(x)
+        if x % p != p - 1:
+            return x // p**m, n - m
+        return x % p + x // p ** (m + 1) * p, n - m  # T_1: keep x_0, continue from x_(m+1)
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out + self.m
@@ -531,9 +540,11 @@ class AffineZp(MapSpec):
     def prime(self) -> Prime:
         return self.a.prime
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        self._check_domain(x)
-        return self.a * x + self.b
+    def output_value(self, x: int, n: int) -> tuple:
+        # ZpApprox's a * x + b: a factor of valuation v adds v digits
+        p, a, b = self.prime, self.a, self.b
+        n = min(_val(a.value, p, a.precision) + n, _val(x, p, n) + a.precision, b.precision)
+        return (a.value * x + b.value) % p**n, n
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out
@@ -618,9 +629,14 @@ class GaModZp(MapSpec):
     def prime(self) -> Prime:
         return self.a.prime
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        self._check_domain(x)
-        return mod_zp(self.a * QpApprox.from_zp(x))
+    def output_value(self, x: int, n: int) -> tuple:
+        # mod_zp(a * x) on QpApprox windows without their leading zeros
+        p, a, vx = self.prime, self.a.normalize(), _val(x, self.prime, 0)
+        v, w = a.valuation_offset + vx, min(a.width, n - vx)
+        if v + w <= 0:
+            raise PrecisionError("no nonnegative digits are determined")
+        y = a.value * (x // p**vx) % p**w
+        return (y * p**v if v >= 0 else y // p**-v), v + w
 
     def min_input_precision(self, n_out: int) -> int:
         va = self.a.normalize().valuation_offset
@@ -630,6 +646,10 @@ class GaModZp(MapSpec):
         if self.a.norm().exponent >= 0:
             return "structural:ga-mod-zp"
         raise CertificationError("cannot certify ||a|| <= 1: g_a may expand")
+
+    def contraction_exponent(self) -> int | None:
+        e = self.a.norm().exponent  # for ||a|| <= 1, g_a(x) - g_a(y) = a(x - y)
+        return e if e >= 0 else None
 
     def spec_dict(self) -> dict:
         return {"type": "ga_mod_zp", "p": int(self.prime), "a": encode_value(self.a)}
@@ -655,12 +675,9 @@ class Substitution(MapSpec):
                 if not 0 <= c < self.prime:
                     raise ValueError(f"letter {c} out of range")
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        self._check_domain(x)
-        out = []
-        for d in x.digits:
-            out.extend(self.rules[d])
-        return ZpApprox(x.prime, tuple(out))
+    def output_value(self, x: int, n: int) -> tuple:
+        out = [c for d in _decode(x, self.prime, n) for c in self.rules[d]]
+        return _int_from_digits(out, self.prime), len(out)
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out
@@ -686,8 +703,9 @@ class TableMap(MapSpec):
     def prime(self) -> Prime:
         return self.table.prime
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        return self.table.apply(x)
+    def output_value(self, x: int, n: int) -> tuple:
+        self.table.check_precision(n)
+        return self.table.output_value(x, n)
 
     def images(self, n: int) -> tuple:
         return self.table.images(n)
@@ -726,9 +744,9 @@ class MahlerMap(MapSpec):
     def prime(self) -> Prime:
         return self.series.prime
 
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        self._check_domain(x)
-        return mahler_eval(self.series, x)
+    def output_value(self, x: int, n: int) -> tuple:
+        y = mahler_eval(self.series, ZpApprox._of(self.prime, n, x))
+        return y.value, y.precision
 
     def min_input_precision(self, n_out: int) -> int:
         return n_out + legendre_valuation(max(self.series.terms - 1, 0), self.prime)
@@ -739,6 +757,12 @@ class MahlerMap(MapSpec):
             return "mahler-criterion"
         raise CertificationError(
             f"Mahler criterion violated first at n={report.first_violation}")
+
+    def contraction_exponent(self) -> int | None:
+        # p^-e-Lipschitz iff (f - a_0)/p^e is 1-Lipschitz: ||a_n|| <= p^-e-floor(log_p n)
+        report = one_lipschitz_report(self.series)
+        gaps = (entry.norm.exponent - entry.bound_exponent for entry in report.entries)
+        return min(gaps, default=0) if report.passed else None
 
     def spec_dict(self) -> dict:
         return {
@@ -770,10 +794,13 @@ class Compose(MapSpec):
     def domain(self):  # type: ignore[override]
         return self.parts[0].domain
 
+    def output_value(self, x: int, n: int) -> tuple:
+        return reduce(lambda y, part: part.output_value(*y), self.parts, (x, n))
+
     def apply(self, x):
-        for part in self.parts:
-            x = part.apply(x)
-        return x
+        if self.domain == "zp":
+            return MapSpec.apply(self, x)
+        return reduce(lambda y, part: part.apply(y), self.parts, x)  # Q_p: no kernel
 
     def min_input_precision(self, n_out: int) -> int:
         need = n_out
@@ -830,25 +857,25 @@ def table_from_spec(spec: MapSpec, depth: int | None = None) -> DigitFunctionTab
     return extract_table(spec, spec.klass, depth)
 
 
-def _eval_prefix(spec: MapSpec, prefix: int, length: int, n_out: int) -> ZpApprox:
-    """Evaluate a Z_p spec at the exact point whose first ``length`` digits
-    are those of the integer ``prefix`` and whose further digits are zero,
-    with enough zeros to determine n_out output digits."""
+def _eval_prefix(spec: MapSpec, prefix: int, length: int, n_out: int) -> tuple:
+    """``output_value`` at the exact point whose first ``length`` digits are
+    those of the integer ``prefix`` < p^length and whose further digits are
+    zero, with enough zeros to determine n_out output digits."""
     need = max(spec.min_input_precision(n_out), length, 1)
     for attempt in range(3):
-        y = spec.apply(ZpApprox.from_int(prefix, spec.prime, need))
-        if y.precision >= n_out:
-            return y
-        need += n_out - y.precision
+        y, got = spec.output_value(prefix, need)
+        if got >= n_out:
+            return y, got
+        need += n_out - got
     raise PrecisionError(f"cannot reach {n_out} output digits for {spec!r}")
 
 
 def extract_table(spec: MapSpec, klass: ScalingClass, depth: int) -> DigitFunctionTable:
     """Tabulate a map's digit functions for a claimed scaling class.
 
-    The spec is evaluated once at every truncation of full length
-    L = max(k, m + depth) padded with zeros, and digit function i is read
-    off as the p^i coefficient of the value at the truncations below its
+    The spec's ``output_value`` is read once at every truncation of full
+    length L = max(k, m + depth) padded with zeros, and digit function i is
+    read off as the p^i coefficient of the value at the truncations below its
     arity (the same exact points as its shorter arguments).  Construction
     verifies bijectivity on the last variable (aborting with a witness); the
     table's images of the truncations are then replayed against those
@@ -862,18 +889,18 @@ def extract_table(spec: MapSpec, klass: ScalingClass, depth: int) -> DigitFuncti
     arities = [k if i < l else k - l + i + 1 for i in range(depth)]
     _check_budget(sum(p**a for a in arities) + p**L, "table extraction")
     zero_padded = [_eval_prefix(spec, idx, L, depth) for idx in range(p**L)]
-    tables = tuple(tuple(y.value // p**i % p for y in zero_padded[:p**a])
+    tables = tuple(tuple(y // p**i % p for y, _ in zero_padded[:p**a])
                    for i, a in enumerate(arities))
     table = DigitFunctionTable(p, klass, tables)
     predicted = table.images(L)[0]
     pad_width = max(spec.min_input_precision(depth) - L, 1)
     pad = (p**pad_width - 1) * p**L  # pad_width digits p-1 after the truncation
-    for idx, y in enumerate(zero_padded):
+    for idx, (y, n) in enumerate(zero_padded):
         for d in (0, p - 1):
             if d:
-                y = spec.apply(ZpApprox._of(p, L + pad_width, idx + pad))
+                y, n = spec.output_value(idx + pad, L + pad_width)
             # the difference's valuation is the first digit that disagrees
-            if diff := (y.value - predicted[idx]) % p**min(depth, y.precision):
+            if diff := (y - predicted[idx]) % p**min(depth, n):
                 raise InconsistentScaling(_val(diff, p, 0), _decode(idx, p, L),
                                           (d,) * pad_width)
     return table
@@ -900,11 +927,9 @@ def mahler_coefficients(spec: MapSpec, terms: int, precision: int) -> MahlerSeri
     _check_budget((terms + 1) * (terms + 2) // 2, "the Mahler binomial sums")
     values = []
     for j in range(terms + 1):
-        length = 0
-        while p**length <= j:
-            length += 1
-        y = _eval_prefix(spec, j, length, precision)
-        values.append(y.truncate(precision).to_int())
+        length = next(t for t in range(j + 1) if p**t > j)  # the digits of j
+        y, n = _eval_prefix(spec, j, length, precision)
+        values.append(ZpApprox._of(p, n, y).truncate(precision).value)
     return series_from_values(p, values, precision)
 
 

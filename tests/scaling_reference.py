@@ -75,7 +75,7 @@ def entrywise_extract_table(spec, klass, depth):
     L = max(k, k - l + depth)
     arities = [k if i < l else k - l + i + 1 for i in range(depth)]
     _check_budget(sum(p**a for a in arities) + p**L, "table extraction")
-    tables = tuple(tuple(_eval_prefix(spec, idx, a, i + 1).value // p**i % p
+    tables = tuple(tuple(_eval_prefix(spec, idx, a, i + 1)[0] // p**i % p
                          for idx in range(p**a)) for i, a in enumerate(arities))
     table = DigitFunctionTable(p, klass, tables)
     pad_width = max(spec.min_input_precision(depth) - L, 1)

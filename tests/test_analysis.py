@@ -14,9 +14,10 @@ from padicdyn.analysis import (
     periodic_points,
     verify_scaling,
 )
-from padicdyn.core import PNorm, PrecisionError, PrimeMismatch, ZpApprox, distance
+from padicdyn.core import PNorm, PrecisionError, PrimeMismatch, QpApprox, ZpApprox, distance
 from padicdyn.maps import (
     ENTRY_BUDGET,
+    AffineQp,
     AffineZp,
     DepthExhausted,
     DigitFunctionTable,
@@ -210,8 +211,7 @@ def test_stratified_loop_matches_reference():
 
 def test_verify_scaling_work_is_pinned(monkeypatch):
     # the exhaustive check reads a table's images and applies it nowhere,
-    # under true and wrong claims; only a refusal applies it, once, to raise
-    # apply's own error
+    # under true and wrong claims, nor to raise apply's own refusal
     calls = []
     apply = DigitFunctionTable.apply
     monkeypatch.setattr(DigitFunctionTable, "apply",
@@ -225,7 +225,27 @@ def test_verify_scaling_work_is_pinned(monkeypatch):
     assert not calls
     with pytest.raises(DepthExhausted, match="before the first digit"):
         verify_scaling(DigitFunctionTable(2, ScalingClass(1, 1), ()), ScalingClass(1, 1), 4)
-    assert len(calls) == 1
+    assert not calls
+
+
+def test_stratified_refusals_and_witness_are_kept():
+    # the stratified check reads output_value; each refusal apply made there
+    # is kept, type and message, and a wrong class keeps its first witness
+    p2, p3 = Prime(2), Prime(3)
+    affq = AffineQp(QpApprox(p3, -1, (1,) + (0,) * 9), QpApprox(p3, 0, (2,) + (0,) * 9))
+    with pytest.raises(PrecisionError) as exc:
+        verify_scaling(affq, ScalingClass(1, 1), 9)
+    assert str(exc.value) == "domain mismatch: AffineQp acts on qp, got ZpApprox"
+    for klass in (ScalingClass(1, 1), ScalingClass(2, 1)):
+        table = DigitFunctionTable(p2, klass, ())
+        for f in (table, TableMap(table)):
+            with pytest.raises(DepthExhausted) as exc:
+                verify_scaling(f, ScalingClass(1, 1), 13)
+            assert str(exc.value) == "table depth exhausted before the first digit"
+    report = verify_scaling(Tj(p2, 1, 2), ScalingClass(2, 1), 13)
+    assert (report.verified, report.pairs_checked, report.mode) == (False, 1, "stratified")
+    assert report.witness == ((1, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1),
+                              (1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0), 1, PNorm(3))
 
 
 def test_verify_scaling_stratified_mode():

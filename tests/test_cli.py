@@ -10,10 +10,13 @@ import pytest
 
 from padicdyn.cli import main
 from padicdyn.core import Prime, QpApprox, ZpApprox
+from padicdyn.mahler import MahlerSeries
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
     Compose,
+    GaModZp,
+    MahlerMap,
     Rmap,
     ScalingClass,
     ShiftPower,
@@ -117,6 +120,29 @@ def test_shadow_lipschitz_auto(specs, capsys, tmp_path):
     report = json.loads(out)
     assert report["solver"] == "lipschitz"
     assert report["details"]["certification"] == "structural:substitution"
+
+
+def test_shadow_auto_takes_lipschitz_for_stated_contractions(capsys, tmp_path):
+    # a 1-Lipschitz g_a (p=3, a = 3*2) and a Mahler map passing the
+    # criterion (p=2, 1 + 2x) state a contraction exponent, so the automatic
+    # choice gives the report of --solver lipschitz (it exited 3 before)
+    p2, p3 = Prime(2), Prime(3)
+    ga = GaModZp(QpApprox(p3, 1, (2,) + (0,) * 11))
+    mahler = MahlerMap(MahlerSeries(p2, (ZpApprox.from_int(1, p2, 12),
+                                         ZpApprox.from_int(2, p2, 12))))
+    for name, spec, start, route in (
+            ("ga", ga, "3^0 * [1 0 2 1 1 0 2 2 1 0 1 2]", "structural:ga-mod-zp"),
+            ("mahler", mahler, "2^0 * [1 1 0 1 0 1 1 0 1 0 0 1]", "mahler-criterion")):
+        map_path, orbit_path = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.txt")
+        save_spec(spec, map_path)
+        assert run(capsys, "orbit", "--map", map_path, "--start", start, "--delta-exp", "2",
+                   "--steps", "5", "--seed", "1", "--out", orbit_path)[0] == 0
+        auto = run(capsys, "shadow", "--map", map_path, "--orbit", orbit_path)
+        assert auto == run(capsys, "shadow", "--map", map_path, "--orbit", orbit_path,
+                           "--solver", "lipschitz")
+        assert auto[0] == 0, name
+        report = json.loads(auto[1])
+        assert (report["solver"], report["details"]["certification"]) == ("lipschitz", route)
 
 
 def test_shadow_affine_qp_two_sided(specs, capsys, tmp_path):
@@ -519,6 +545,8 @@ def _write_corpus_inputs():
         "t21": TableMap(t21),
         "t21b": TableMap(perturb_table(rng, t21, first_digit=3, depth=8)),
         "t22": TableMap(random_table(rng, p2, ScalingClass(2, 2), 6)),
+        # z -> 6z mod Z_2, 1-Lipschitz: it states a contraction exponent
+        "ga": GaModZp(QpApprox(p2, 1, (1, 1) + (0,) * 10)),
     }
     for name, spec in specs.items():
         save_spec(spec, f"{name}.json")
@@ -614,6 +642,9 @@ CLI_CORPUS = [
      "eae8829e71216f1b3253f2e94144bdbe22df6f12d3b61691e3ad068eb5eea86f"),
     ('oracle arith --p 3 --precision 6 --samples 100 --seed 5', 0,
      "f0bd7804ab0fcc8364df6012761b6c211990e63a0d0e2ab6b8f5d84b504195a1"),
+    # a 1-Lipschitz g_a takes the Lipschitz solver
+    ('shadow --map ga.json --orbit orbs.txt', 0,
+     "76fd3710ab77b049dd647c7c5da1e600f9ab9b9ca09f0e9c4636659e910b7740"),
 ]
 
 

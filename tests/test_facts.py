@@ -38,12 +38,13 @@ from scaling_reference import sampled_expansion
 
 
 class _Opaque(MapSpec):
-    """A spec seen only through prime, domain, apply and
+    """A spec seen only through prime, domain, apply, output_value and
     min_input_precision, so every caller takes its fallback route."""
 
     def __init__(self, spec):
         self.prime, self.domain = spec.prime, spec.domain
         self.apply, self.min_input_precision = spec.apply, spec.min_input_precision
+        self.output_value = spec.output_value
 
 
 P2, P3 = Prime(2), Prime(3)
@@ -69,11 +70,11 @@ CASES = [
     (TableMap(random_table(random.Random(3), P2, ScalingClass(2, 1), 4)),
      {"klass", "table"}),
     (GaModZp(_qp(P2, -2, (1, 1))), {"klass"}),
-    (GaModZp(_qp(P3, 1, (2,))), {"lipschitz"}),
+    (GaModZp(_qp(P3, 1, (2,))), {"lipschitz", "contraction"}),
     (Substitution(P2, ((0, 1), (0,))), {"lipschitz", "contraction"}),
     (AffineZp(_zp(6, P3), _zp(5, P3)), {"lipschitz", "contraction"}),
     (MahlerMap(mahler_coefficients(AffineZp(_zp(3, P3), _zp(1, P3)), 4, 8)),
-     {"lipschitz"}),
+     {"lipschitz", "contraction"}),
     (Compose((Substitution(P2, ((1,), (0,))), AffineZp(_zp(2, P2), _zp(1, P2)))),
      {"lipschitz", "contraction"}),
     (AFFINE_QP_EXPANDING, {"expansion", "inverse", "affine"}),

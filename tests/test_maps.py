@@ -18,6 +18,7 @@ from padicdyn.core import (
     ZpApprox,
     distance,
 )
+from padicdyn.mahler import MahlerSeries
 from padicdyn.maps import (
     ENTRY_BUDGET,
     AffineQp,
@@ -49,6 +50,7 @@ from padicdyn.maps import (
 )
 from padicdyn.oracle import brute_fixed_point_count
 
+from apply_reference import reference_apply
 from dense_reference import iterate_table
 from scaling_reference import entrywise_extract_table
 
@@ -256,11 +258,12 @@ class _ReadsPastArity(MapSpec):
     def __init__(self, reach):
         self.reach = reach
 
-    def apply(self, x):
-        d = list(ShiftPower(self.prime, 1).apply(x).digits)
-        if x.precision > self.reach:
-            d[1] = (d[1] + x.digits[self.reach]) % 3
-        return ZpApprox(self.prime, d)
+    def output_value(self, x, n):
+        y, length = ShiftPower(self.prime, 1).output_value(x, n)
+        d = list(_decode(y, 3, length))
+        if n > self.reach:
+            d[1] = (d[1] + _decode(x, 3, n)[self.reach]) % 3
+        return sum(c * 3**i for i, c in enumerate(d)), length
 
     def min_input_precision(self, n_out):
         return n_out + 1
@@ -308,6 +311,96 @@ def test_images_match_apply(p, data):
         assert _images_outcome(lambda: f.images(n)) == want, f
 
 
+def _kernel_specs(draw, prime):
+    """One spec of every Z_p class at ``prime``: an affine map with a unit
+    a, one with a of positive valuation and one with a = 0 at its precision,
+    and g_a with ||a|| above, at and below 1."""
+    p = int(prime)
+
+    def zp(v):  # a unit times p^v, or zero at its precision for v = None
+        n = draw(st.integers(1, 8))
+        if v is None:
+            return ZpApprox.from_int(0, p, n)
+        unit = draw(st.integers(1, p - 1)) + p * draw(st.integers(0, p**n))
+        return ZpApprox.from_int(unit * p**v, p, n)
+
+    def ga(e):  # ||a|| = p^-e, with up to two leading zero digits in the window
+        z, width = draw(st.integers(0, 2)), draw(st.integers(1, 6))
+        digits = [0] * z + [draw(st.integers(1, p - 1))] + [
+            draw(st.integers(0, p - 1)) for _ in range(width - 1)]
+        return GaModZp(QpApprox(prime, e - z, digits))
+
+    rules = [tuple(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)))
+             for _ in range(p)]
+    k = draw(st.integers(1, 3))
+    klass = ScalingClass(k, draw(st.integers(1, k)))
+    table = random_table(random.Random(draw(st.integers(0, 2**32 - 1))), p, klass,
+                         draw(st.integers(0, klass.l + 3)), tail_projection=draw(st.booleans()))
+    coefficients = tuple(ZpApprox.from_int(draw(st.integers(0, p**10)), p,
+                                           draw(st.integers(1, 10)))
+                         for _ in range(draw(st.integers(1, 4))))
+    return [ShiftPower(prime, draw(st.integers(1, 4))),
+            Tj(prime, draw(st.integers(1, 3)), draw(st.integers(0, 3))),
+            Rmap(prime, draw(st.integers(1, 3))),
+            AffineZp(zp(0), zp(draw(st.integers(0, 2)))),
+            AffineZp(zp(draw(st.integers(1, 3))), zp(0)),
+            AffineZp(zp(None), zp(draw(st.integers(0, 2)))),
+            ga(-draw(st.integers(1, 3))), ga(0), ga(draw(st.integers(1, 3))),
+            Substitution(prime, rules), TableMap(table),
+            MahlerMap(MahlerSeries(prime, coefficients))]
+
+
+def _kernel_outcome(spec, x, n):
+    """``output_value`` and the object ``apply`` it replaced, each as
+    (value, precision) or (error type, message)."""
+    def old():
+        y = reference_apply(spec, ZpApprox._of(spec.prime, n, x))
+        return y.value, y.precision
+
+    return _images_outcome(lambda: spec.output_value(x, n)), _images_outcome(old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_output_value_matches_object_apply(p, data):
+    # every Z_p spec class and two- and three-part compositions of them, at
+    # x = 0, at x divisible by p and at any residue mod p^n, n = 1..12
+    draw = data.draw
+    specs = _kernel_specs(draw, Prime(p))
+    specs += [Compose(tuple(draw(st.sampled_from(specs)) for _ in range(parts)))
+              for parts in (2, 3)]
+    n = draw(st.integers(1, 12))
+    x = draw(st.one_of(st.just(0), st.integers(0, p ** (n - 1) - 1).map(lambda q: q * p),
+                       st.integers(0, p**n - 1)))
+    for spec in specs:
+        got, want = _kernel_outcome(spec, x, n)
+        assert got == want, (spec, x, n)
+
+
+def test_output_value_refuses_as_apply_did():
+    # every residue mod p^n for n up to and past each refusal threshold:
+    # shifts at n <= m, T_0 at n <= m, a table below k, with no function or
+    # without its heads, g_a with no digit at index >= 0, a Mahler term whose
+    # n! eats the precision, and a composition refused by its second part
+    p2, p3 = Prime(2), Prime(3)
+    specs = [ShiftPower(p2, 3), Tj(p3, 2, 0), Tj(p2, 3, 0), Rmap(p3, 2),
+             TableMap(DigitFunctionTable(p2, ScalingClass(3, 2), ())),
+             TableMap(DigitFunctionTable(p2, ScalingClass(3, 1), (), tail_projection=True)),
+             TableMap(random_table(random.Random(5), 2, ScalingClass(3, 1), 3)),
+             GaModZp(QpApprox(p2, -4, (1, 0, 1))), GaModZp(QpApprox(p3, -2, (0, 2, 1))),
+             MahlerMap(MahlerSeries(p2, tuple(ZpApprox.from_int(c, 2, 6)
+                                              for c in (1, 0, 0, 0, 3)))),
+             Compose((Tj(p2, 1, 1), ShiftPower(p2, 2)))]
+    for spec in specs:
+        refused = False
+        for n in range(1, 7):
+            for x in range(spec.prime**n):
+                got, want = _kernel_outcome(spec, x, n)
+                assert got == want, (spec, x, n)
+                refused |= isinstance(got[0], type)
+        assert refused, spec
+
+
 def _extraction_cases():
     """(spec, claimed class, depth): the specs the extraction tests use and
     the benchmark's classical specs at seeds 1..5, each at its own class and
@@ -350,14 +443,14 @@ def test_extract_table_matches_the_entrywise_reference():
 
 
 class _CountingSpec(MapSpec):
-    """``base`` counting its applications."""
+    """``base`` counting its evaluations."""
 
     def __init__(self, base):
         self.base, self.prime, self.calls = base, base.prime, 0
 
-    def apply(self, x):
+    def output_value(self, x, n):
         self.calls += 1
-        return self.base.apply(x)
+        return self.base.output_value(x, n)
 
     def min_input_precision(self, n_out):
         return self.base.min_input_precision(n_out)
