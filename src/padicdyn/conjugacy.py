@@ -36,9 +36,14 @@ from .core import (
     PadicError,
     PNorm,
     PrecisionError,
+    PrimeMismatch,
     QpApprox,
     ZeroAtPrecision,
     ZpApprox,
+    _val,
+    _window_addsub,
+    _window_canonical,
+    _window_mul,
     distance,
     encode_value,
     inverse_unit,
@@ -343,7 +348,10 @@ def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox) -> ZpApprox:
 
 def _qp_affine_h(g: MapSpec, horizon: int):
     """(k, translation or None, h): the certified exponent (0 refused first),
-    b/(1-a), a^-1 and both steps are computed once; h walks x's orbit."""
+    b/(1-a), a^-1 and both steps are computed once; h walks x's orbit on
+    digit windows and builds one value, its result."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     k = certify_expansion(g)
     if k == 0:
         raise CertificationError("||a|| = 1 is not an exact dilation or contraction")
@@ -353,49 +361,51 @@ def _qp_affine_h(g: MapSpec, horizon: int):
     K = abs(k)
     p = g.prime
     a, b = fact
-    translation = None
+    translation = t = None
     if b.value:  # b / (1 - a), the fixed point of z -> az + b
         one = QpApprox.from_int(1, p, max(a.width, b.width))
         translation = inverse_unit(one - a) * b
+        t = (translation.valuation_offset, translation.width, translation.value)
     a_inv = inverse_unit(a)
-    if k > 0:
-        fwd_step, bwd_step = (lambda z: a * z), (lambda z: a_inv * z)
-    else:
-        fwd_step, bwd_step = (lambda z: a_inv * z), (lambda z: a * z)
+    fwd, bwd = (a, a_inv) if k > 0 else (a_inv, a)
+    fwd, bwd = (_window_canonical(p, c.valuation_offset, c.width, c.value) for c in (fwd, bwd))
     q = p**K
 
-    def h(x: QpApprox) -> QpApprox:
-        if translation is not None:
-            x = x - translation
-        blocks: dict[int, int] = {}
-        cur = x
-        j = 0
-        while j <= horizon and cur.window_end >= K:
-            blocks[j] = mod_zp(cur).value % q
-            cur = fwd_step(cur)
-            j += 1
-        if not blocks:
-            raise PrecisionError("window too short to read even the 0-th block")
-        j_max = max(blocks)
+    def block(v, n, X):  # digits 0..K-1 of the window, which reaches p^K
+        return (X * p**v if v >= 0 else X // p**-v) % q
 
-        cur = x
-        j = 0
+    def h(x: QpApprox) -> QpApprox:
+        if x.prime != p:
+            raise PrimeMismatch(f"primes {x.prime} and {p}")
+        start = x.valuation_offset, x.width, x.value
+        if t is not None:
+            start = _window_addsub(p, *start, *t, -1)
+        forward, ahead, cur = 0, 0, start  # blocks 0..ahead-1 as one integer
+        while ahead <= horizon:
+            v, n, X = cur
+            if v + n < K:
+                break
+            forward += block(v, n, X) * q**ahead
+            ahead += 1
+            cur = _window_mul(p, *fwd, *_window_canonical(p, v, n, X))
+        if not ahead:
+            raise PrecisionError("window too short to read even the 0-th block")
+
+        backward, behind, cur = 0, 0, start  # blocks -1..-behind, lowest last
         while True:
-            cur = bwd_step(cur)
-            j -= 1
-            if cur.norm().leq_pow(K):
+            v, n, X = cur = _window_mul(p, *bwd, *_window_canonical(p, *cur))
+            if v + _val(X, p, n) >= K:
                 # contracted into p^K Z_p: this and every earlier block is zero
                 break
-            if j < -horizon:
+            if behind == horizon:
                 raise CertificationError(
                     "backward blocks did not vanish within the horizon budget")
-            if cur.window_end < K:
+            if v + n < K:
                 raise PrecisionError("window too short to read a backward block")
-            blocks[j] = mod_zp(cur).value % q
-        j_min = min(blocks)
+            backward, behind = backward * q + block(v, n, X), behind + 1
 
-        value = sum(block * q ** (jj - j_min) for jj, block in blocks.items())
-        return QpApprox.from_int(value, p, (j_max - j_min + 1) * K, j_min * K).normalize()
+        return QpApprox._of(p, *_window_canonical(
+            p, -behind * K, (ahead + behind) * K, backward + forward * q**behind))
 
     return k, translation, h
 

@@ -184,6 +184,47 @@ def _val(x: int, p: int, cap: int) -> int:
     return v
 
 
+# The precision rules of Q_p on digit windows (v, n, X): the value p^v X
+# known on [v, v+n), X in [0, p^n).  QpApprox arithmetic and every Q_p
+# map's kernel run on these, so each rule is stated once.
+
+def _window_canonical(p: int, v: int, n: int, X: int) -> tuple:
+    """The window without its leading zero digits (an all-zero one as it is)."""
+    if X % p or not X:
+        return v, n, X
+    i = _val(X, p, 0)
+    return v + i, n - i, X // p**i
+
+
+def _window_addsub(p: int, v: int, n: int, X: int, w: int, m: int, Y: int,
+                   sign: int) -> tuple:
+    """x + sign*y, known from the lower start to the lower end: digits below
+    a window are exact zeros, so disjoint windows still add."""
+    lo = v if v < w else w
+    end = v + n if v + n < w + m else w + m
+    n = end - lo
+    if n <= 0:
+        raise PrecisionError("empty overlap of Q_p windows")
+    # a window starting n or more digits above lo contributes only zeros
+    if v > lo:
+        X *= p ** (v - lo if v - lo < n else n)
+    elif w > lo:
+        Y *= p ** (w - lo if w - lo < n else n)
+    return lo, n, (X + sign * Y) % p**n
+
+
+def _window_mul(p: int, v: int, n: int, X: int, w: int, m: int, Y: int) -> tuple:
+    """x * y for canonical windows: leading zeros carry no information, so a
+    canonical factor determines as many digits of the product as it has."""
+    n = n if n < m else m
+    return v + w, n, X * Y % p**n
+
+
+def _window_norm(p: int, v: int, n: int, X: int) -> PNorm:
+    """The norm p^-(v + val X), or the bound at the window end when X is 0."""
+    return PNorm(v + _val(X, p, n), X != 0)
+
+
 def _same_prime(x, y) -> Prime:
     if x.prime != y.prime:
         raise PrimeMismatch(f"primes {x.prime} and {y.prime}")
@@ -321,8 +362,8 @@ class QpApprox:
         if self.is_canonical:
             return self
         p = self.prime
-        i = _val(self.value, p, 0)
-        return QpApprox._of(p, self.valuation_offset + i, self.width - i, self.value // p**i)
+        return QpApprox._of(p, *_window_canonical(p, self.valuation_offset, self.width,
+                                                  self.value))
 
     def digit_at(self, i: int) -> int:
         """Digit of p^i; exactly zero below the window, an error above it."""
@@ -333,22 +374,15 @@ class QpApprox:
         return self.value // self.prime ** (i - self.valuation_offset) % self.prime
 
     def norm(self) -> PNorm:
-        e = self.valuation_offset + _val(self.value, self.prime, self.width)
-        return PNorm(e, exact=self.value != 0)
+        return _window_norm(self.prime, self.valuation_offset, self.width, self.value)
 
     def _addsub(self, other, sign):
         if not isinstance(other, QpApprox):
             return NotImplemented
         p = _same_prime(self, other)
-        sv, ov = self.valuation_offset, other.valuation_offset
-        v = min(sv, ov)
-        n = min(sv + self.width, ov + other.width) - v
-        if n <= 0:
-            raise PrecisionError("empty overlap of Q_p windows")
-        # a window starting n or more digits above v contributes only zeros
-        a = self.value * p ** min(sv - v, n)
-        b = other.value * p ** min(ov - v, n)
-        return QpApprox._of(p, v, n, (a + sign * b) % p**n)
+        return QpApprox._of(p, *_window_addsub(
+            p, self.valuation_offset, self.width, self.value,
+            other.valuation_offset, other.width, other.value, sign))
 
     def __add__(self, other):
         return self._addsub(other, 1)
@@ -364,11 +398,10 @@ class QpApprox:
         if not isinstance(other, QpApprox):
             return NotImplemented
         p = _same_prime(self, other)
-        # leading zeros carry no information; normalizing first keeps every
-        # digit the factors determine
-        a, b = self.normalize(), other.normalize()
-        v, n = a.valuation_offset + b.valuation_offset, min(a.width, b.width)
-        return QpApprox._of(p, v, n, a.value * b.value % p**n)
+        # normalizing first keeps every digit the factors determine
+        return QpApprox._of(p, *_window_mul(
+            p, *_window_canonical(p, self.valuation_offset, self.width, self.value),
+            *_window_canonical(p, other.valuation_offset, other.width, other.value)))
 
     def __str__(self):
         return encode_value(self)

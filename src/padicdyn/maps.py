@@ -18,7 +18,8 @@ Every map object -- the map specifications (:class:`ShiftPower`,
 :class:`Tj`, :class:`Rmap`, affine maps, substitutions, tables, Mahler
 series, compositions) and :class:`DigitFunctionTable` -- answers to
 ``prime``, ``apply(x)`` and ``images(n)`` (``apply`` on every residue mod
-p^n), which a Z_p map computes from one integer kernel, ``output_value(x, n)``;
+p^n), which a Z_p map computes from one integer kernel, ``output_value(x, n)``,
+and a Q_p map from one on digit windows, ``output_window(v, n, X)``;
 a result carries exactly the digits the input determines.  Each spec class
 states the facts its definition proves (see :class:`MapSpec`).
 Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
@@ -41,6 +42,9 @@ from .core import (
     _digits_from_int as _decode,
     _int_from_digits,
     _val,
+    _window_addsub,
+    _window_canonical,
+    _window_mul,
     encode_value,
     inverse_unit,
     parse_value,
@@ -251,6 +255,10 @@ class DigitFunctionTable:
         y, n = self.output_value(x.value, x.precision)
         return ZpApprox._of(self.prime, n, y)
 
+    def output_window(self, v: int, n: int, X: int) -> tuple:
+        """A table acts on Z_p: a Q_p window is refused as ``apply`` refuses it."""
+        return self.apply(QpApprox._of(self.prime, v, n, X))
+
     def images(self, n: int) -> tuple:
         """``apply`` on every residue x mod p^n, in order of x: (values, precisions)."""
         p, k, m, l = self.prime, self.klass.k, self.klass.m, self.l
@@ -334,7 +342,10 @@ class MapSpec:
     """Base class for serializable map descriptions.  Subclasses set
     ``domain`` to "zp" or "qp".  A Z_p class implements the integer kernel
     ``output_value(x, n) -> (y, length)`` on residues x mod p^n, and ``apply``
-    and ``images`` are defined once, on it; a Q_p class implements ``apply``.
+    and ``images`` are defined once, on it; a Q_p class implements the kernel
+    ``output_window(v, n, X) -> (v, n, X)`` on the value p^v X known on the
+    digit window [v, v+n), and ``apply`` is defined on that.  Each kernel
+    refuses a map of the other domain with ``apply``'s "domain mismatch".
 
     Each subclass states the facts its definition proves, "not known" (None)
     by default: ``klass``, the scaling class; ``structural_table()``;
@@ -376,8 +387,15 @@ class MapSpec:
         self._check_domain(ZpApprox._of(self.prime, n, x))  # a Q_p map refuses
         raise NotImplementedError
 
+    def output_window(self, v: int, n: int, X: int) -> tuple:
+        self._check_domain(QpApprox._of(self.prime, v, n, X))  # a Z_p map refuses
+        raise NotImplementedError
+
     def apply(self, x):
         self._check_domain(x)
+        if self.domain == "qp":
+            return QpApprox._of(self.prime, *self.output_window(
+                x.valuation_offset, x.width, x.value))
         y, n = self.output_value(x.value, x.precision)
         return ZpApprox._of(self.prime, n, y)
 
@@ -574,21 +592,27 @@ class AffineQp(MapSpec):
     domain = "qp"
 
     def __post_init__(self):
-        if self.a.prime != self.b.prime:
+        a, b = self.a, self.b
+        if a.prime != b.prime:
             raise ValueError("a and b must share a prime")
-        if not self.a.value:
+        if not a.value:
             raise ZeroAtPrecision("a is indistinguishable from zero")
+        object.__setattr__(self, "_a", _window_canonical(
+            a.prime, a.valuation_offset, a.width, a.value))
+        object.__setattr__(self, "_b", (b.valuation_offset, b.width, b.value))
 
     @property
     def prime(self) -> Prime:
         return self.a.prime
 
-    def apply(self, x: QpApprox) -> QpApprox:
-        self._check_domain(x)
-        return self.a * x + self.b
+    def output_window(self, v: int, n: int, X: int) -> tuple:
+        # QpApprox's a * x + b, with a canonical once and for all
+        p = self.a.prime
+        return _window_addsub(p, *_window_mul(p, *self._a, *_window_canonical(p, v, n, X)),
+                              *self._b, 1)
 
     def expansion_exponent(self) -> int:
-        return -self.a.normalize().valuation_offset
+        return -self._a[0]
 
     def affine(self) -> tuple:
         return self.a, self.b
@@ -797,10 +821,8 @@ class Compose(MapSpec):
     def output_value(self, x: int, n: int) -> tuple:
         return reduce(lambda y, part: part.output_value(*y), self.parts, (x, n))
 
-    def apply(self, x):
-        if self.domain == "zp":
-            return MapSpec.apply(self, x)
-        return reduce(lambda y, part: part.apply(y), self.parts, x)  # Q_p: no kernel
+    def output_window(self, v: int, n: int, X: int) -> tuple:
+        return reduce(lambda w, part: part.output_window(*w), self.parts, (v, n, X))
 
     def min_input_precision(self, n_out: int) -> int:
         need = n_out

@@ -46,12 +46,15 @@ Solvers:
 
 Every solver verifies its point with one two-sided check, ``_certified``:
 forward through f, backward through f^-1, every distance against the
-solver's bound as it is computed.  Maps are evaluated only through
-``prime`` and ``apply``, which tables and specs both provide.
+solver's bound as it is computed.  Z_p maps are evaluated only through
+``prime`` and ``apply``, which tables and specs both provide; Q_p maps,
+whose points the dilatation sweep and the check carry as digit windows
+(v, n, X), through ``prime`` and their kernel ``output_window``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -62,9 +65,12 @@ from .core import (
     PNorm,
     PrecisionError,
     Prime,
+    PrimeMismatch,
     QpApprox,
     ZpApprox,
     _val,
+    _window_addsub,
+    _window_norm,
     distance,
     encode_value,
     inverse_unit,
@@ -234,20 +240,31 @@ def _certified(f, f_inv, point, orbit: PseudoOrbit, bound: int, solver: str,
     """The one check every shadow result passes: d(x_n, f^n(point)) for each
     index n of the orbit, forward through ``f`` for n = 0..end_index and
     backward through ``f_inv`` for n = -1..start_index (a one-sided orbit
-    never reads it), each against p^-bound as it is computed.
+    never reads it), each against p^-bound as it is computed.  A Z_p point
+    walks through ``apply``, a Q_p point through the maps' digit-window
+    kernel ``output_window``.
 
     Raises ``error`` at the first distance certifiably above p^-bound, before
     any later step is evaluated; a ``PadicError`` is marked internal.
     """
     p = orbit.prime
+    if isinstance(point, QpApprox):
+        if f.prime != p:
+            raise PrimeMismatch(f"primes {p} and {f.prime}")
+        start = (point.valuation_offset, point.width, point.value)
+        step = lambda g: lambda w: g.output_window(*w)
+        dist = lambda x, w: _window_norm(p, *_window_addsub(
+            p, x.valuation_offset, x.width, x.value, *w, -1))
+    else:
+        start, step, dist = point, (lambda g: g.apply), distance
     dists = {}
     for g, steps in ((f, range(orbit.end_index + 1)),
                      (f_inv, range(-1, orbit.start_index - 1, -1))):
-        cur = point
+        cur, apply = start, step(g) if steps else None
         for n in steps:
             if n:
-                cur = g.apply(cur)
-            d = dists[n] = distance(orbit.point(n), cur)
+                cur = apply(cur)
+            d = dists[n] = dist(orbit.point(n), cur)
             if d.gt_pow(bound):
                 internal = "internal: " if error is PadicError else ""
                 raise error(f"{internal}{solver} shadow violates {p}^-{bound} "
@@ -489,12 +506,17 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
         raise CertificationError(f"not a dilatation: certified constant p^{k}")
     g_inv = g.inverse_spec()
     p = g.prime
+    if orbit.prime != p:
+        raise PrimeMismatch(f"primes {orbit.prime} and {p}")
     eps_exp = orbit.certified_delta.exponent
     fwd_last = orbit.end_index
+    # the sweep runs on digit windows (v, n, X), norms as exponents
+    xs = [(x.valuation_offset, x.width, x.value)
+          for x in map(orbit.point, range(fwd_last + 1))]
     width = max(x.width for x in orbit.points)
-    zero = QpApprox(p, eps_exp, (0,) * width)
-    ys = [zero] * (fwd_last + 1)
+    ys = [(eps_exp, width, 0)] * (fwd_last + 1)
     moved = [True] * (fwd_last + 1)  # entry n changed in the last sweep
+    step = g_inv.output_window
 
     # Phi is triangular (entry n reads only entry n+1), so the fixed point of
     # the finite window is reached exactly after fwd_last+1 sweeps; pending
@@ -504,35 +526,42 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     iterations = 0
     sweeps = fwd_last + 1 if max_iterations is None else max_iterations
     while iterations < sweeps:
-        dists = []
+        exact = bound = math.inf  # the correction's least exact and bound exponents
         for n in range(fwd_last + 1):  # ascending: ys[n+1] is the last sweep's
             old = ys[n]
             moved[n] = n < fwd_last and moved[n + 1]
             if moved[n]:
-                ys[n] = g_inv.apply(orbit.point(n + 1) + ys[n + 1]) - orbit.point(n)
-                if ys[n].norm().gt_pow(eps_exp):
+                v, w, Y = new = ys[n] = _window_addsub(p, *step(*_window_addsub(
+                    p, *xs[n + 1], *ys[n + 1], 1)), *xs[n], -1)
+                if Y and v + _val(Y, p, 0) < eps_exp:
                     raise CertificationError(
                         f"Phi left the epsilon ball at index {n}: the certified "
                         f"expansion constant is violated")
-                moved[n] = ys[n] != old
-            # an unchanged entry's distance to itself is a bound at its window end
-            dists.append(distance(old, ys[n]) if moved[n] else PNorm(old.window_end, exact=False))
-        corr = pnorm_max(dists)
+                moved[n] = new != old
+            if not moved[n]:  # its distance to itself is a bound at its window end
+                bound = min(bound, old[0] + old[1])
+                continue
+            v, w, D = _window_addsub(p, *old, *new, -1)
+            if D:
+                exact = min(exact, v + _val(D, p, 0))
+            else:
+                bound = min(bound, v + w)
         iterations += 1
-        if corr.exact:
-            if correction_exponents and corr.exponent < correction_exponents[-1] + k:
+        if exact <= bound:  # the sup-norm is exact, as pnorm_max finds it
+            if correction_exponents and exact < correction_exponents[-1] + k:
                 raise CertificationError(
                     f"correction decayed by less than p^-{k}: "
-                    f"{correction_exponents[-1]} -> {corr.exponent}")
-            correction_exponents.append(corr.exponent)
-        floor = max(v.window_end for v in ys)
+                    f"{correction_exponents[-1]} -> {exact}")
+            correction_exponents.append(exact)
+        floor = max(v + w for v, w, _ in ys)
         if (not any(moved) or iterations >= fwd_last + 1
                 or eps_exp + k * (iterations + 1) >= floor):
             break
     else:
         raise PrecisionError(f"sweep budget of {sweeps} exhausted before convergence")
+    point = QpApprox._of(p, *_window_addsub(p, *xs[0], *ys[0], 1))
     return _certified(
-        g, g_inv, orbit.point(0) + ys[0], orbit, eps_exp, "dilatation",
+        g, g_inv, point, orbit, eps_exp, "dilatation",
         {"expansion_exponent": k, "iterations": iterations, "converged": True,
          "correction_exponents": tuple(correction_exponents)}, PadicError)
 

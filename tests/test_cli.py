@@ -349,6 +349,14 @@ def test_exit_codes(specs, capsys, tmp_path):
     assert main(["conjugate", "--map", str(table2), "--constructor", "nearby",
                  "--other", str(table21)]) == 3
     capsys.readouterr()
+    # precondition: a negative qp-affine horizon, refused by name (horizon 0
+    # reads block 0 and needs the backward blocks to vanish at once)
+    affq = tmp_path / "affq.json"
+    save_spec(AffineQp(QpApprox(Prime(3), -1, (1,) + (0,) * 29),
+                       QpApprox(Prime(3), 0, (2,) + (0,) * 29)), affq)
+    assert main(["conjugate", "--map", str(affq), "--constructor", "qp-affine",
+                 "--horizon", "-1"]) == 3
+    assert "horizon must be >= 0" in capsys.readouterr().err
     # precondition: negative precision and sample counts
     for command in (["fixed-points", "--map", str(shift_path), "--precision", "0"],
                     ["fixed-points", "--map", str(shift_path), "--precision", "-1"],
@@ -464,16 +472,18 @@ def test_exit_codes(specs, capsys, tmp_path):
 
 
 def test_wrong_domain_inputs_exit_3(capsys, tmp_path):
-    # a Z_p map given Q_p input, a Q_p map given Z_p input, and --back on a
-    # map with no exact inverse are preconditions: exit 3, never 1 or 5
+    # a Z_p map given Q_p input, a Q_p map given Z_p input (also a Z_p part
+    # of a Q_p composition), and --back on a map with no exact inverse are
+    # preconditions: exit 3, never 1 or 5
     p3 = Prime(3)
     files = {}
+    affq = AffineQp(QpApprox(p3, -1, (1,) + (0,) * 29), QpApprox(p3, 0, (2,) + (0,) * 29))
     for name, spec in (
-            ("affq", AffineQp(QpApprox(p3, -1, (1,) + (0,) * 29),
-                              QpApprox(p3, 0, (2,) + (0,) * 29))),
+            ("affq", affq),
             ("shift", ShiftPower(p3, 1)),
             ("table", TableMap(random_table(random.Random(1), p3, ScalingClass(1, 1), 4))),
-            ("psi", AffineZp(ZpApprox.from_int(18, p3, 12), ZpApprox.from_int(0, p3, 12)))):
+            ("psi", AffineZp(ZpApprox.from_int(18, p3, 12), ZpApprox.from_int(0, p3, 12))),
+            ("mixed", Compose((affq, ShiftPower(p3, 1))))):  # a Q_p part, then a Z_p part
         files[name] = str(tmp_path / f"{name}.json")
         save_spec(spec, files[name])
     zorbit, qorbit = str(tmp_path / "z.txt"), str(tmp_path / "q.txt")
@@ -491,14 +501,15 @@ def test_wrong_domain_inputs_exit_3(capsys, tmp_path):
         ["oracle", "shadow", "--map", files["shift"], "--orbit", qorbit],
     ] + [["shadow", "--map", files["affq"], "--orbit", zorbit, "--solver", s]
          for s in solvers]
-    for name in ("shift", "table", "psi"):
+    for name in ("shift", "table", "psi", "mixed"):
         commands += [["shadow", "--map", files[name], "--orbit", qorbit, "--solver", s]
                      for s in solvers]
         commands += [
-            ["conjugate", "--map", files[name], "--constructor", "qp-affine"],
             ["orbit", "--map", files[name], "--start", "3^0 * [1 0 2 1 1 0 2]",
              "--delta-exp", "2", "--steps", "2", "--back", "2", "--seed", "1",
              "--out", str(tmp_path / "o.txt")]]
+        if name != "mixed":  # it states no expansion constant, refused as such
+            commands.append(["conjugate", "--map", files[name], "--constructor", "qp-affine"])
     for command in commands:
         code = main(command)
         err = capsys.readouterr().err

@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from qp_reference import reference_h
 
 from padicdyn import conjugacy
-from padicdyn.core import (PadicError, PNorm, PrecisionError, Prime, QpApprox, ZpApprox,
-                           distance, parse_value)
+from padicdyn.core import (PadicError, PNorm, PrecisionError, Prime, PrimeMismatch, QpApprox,
+                           ZpApprox, distance, parse_value)
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
@@ -455,6 +456,45 @@ def test_qp_affine_map_matches_the_per_point_conjugacy():
                              tuple(rng.randrange(p) for _ in range(rng.randrange(2, 14))))
                 assert _h_outcome(cm, x) == _h_outcome(
                     lambda x: qp_affine_conjugacy(g, x, horizon), x)
+
+
+def test_qp_affine_h_matches_the_object_walk():
+    # h walks digit windows; the object walk it replaced must give the same
+    # value or the same refusal: on dilatations and contractions with k in
+    # {1, 2}, with and without leading zeros in a and the translation
+    # b/(1-a), as bare maps and as
+    # compositions, at horizons where the backward blocks do and do not
+    # vanish in time and on windows too short to read a block
+    rng = random.Random(25)
+    seen = set()
+    for p_int in (2, 3, 5):
+        p = Prime(p_int)
+        for val in (-2, -1, 1, 2):
+            for translated in (False, True):
+                digits = lambda n: tuple(rng.randrange(p_int) for _ in range(n))
+                z = rng.randrange(2)  # leading zero digits of a
+                a = QpApprox(p, val - z, (0,) * z + (rng.randrange(1, p_int),) + digits(19))
+                b = QpApprox(p, 0, digits(20)) if translated else zero_q(p)
+                g = AffineQp(a, b)
+                one = QpApprox(p, 0, (1,) + (0,) * 19)  # the identity, then g
+                for spec in (g, Compose((AffineQp(one, zero_q(p)), g))):
+                    for horizon in (0, 1, 3, 12):
+                        h = qp_affine_conjugacy_map(spec, horizon)
+                        want = reference_h(spec, horizon)
+                        for _ in range(6):
+                            x = QpApprox(p, rng.randrange(-4, 3), digits(rng.randrange(1, 16)))
+                            got = _h_outcome(h, x)
+                            assert got == _h_outcome(want, x), (spec, horizon, x)
+                            seen.add(got[1].split(" ")[0] if isinstance(got, tuple)
+                                     else "value")
+    assert seen == {"value", "window", "backward"}
+    # a point over another prime is refused before any digit is read, with
+    # or without the translation, however short its window
+    for b in (zero_q(Prime(2)), QpApprox(Prime(2), 0, (1,) + (0,) * 19)):
+        h = qp_affine_conjugacy_map(AffineQp(QpApprox(Prime(2), -1, (1,) + (0,) * 19), b), 4)
+        for width in (1, 12):
+            with pytest.raises(PrimeMismatch, match="primes 3 and 2"):
+                h(QpApprox(Prime(3), -2, (1,) * width))
 
 
 class _NoAffineFact(MapSpec):

@@ -50,6 +50,7 @@ from padicdyn.maps import (
 )
 from padicdyn.oracle import brute_fixed_point_count
 
+import qp_reference
 from apply_reference import reference_apply
 from dense_reference import iterate_table
 from scaling_reference import entrywise_extract_table
@@ -399,6 +400,50 @@ def test_output_value_refuses_as_apply_did():
                 assert got == want, (spec, x, n)
                 refused |= isinstance(got[0], type)
         assert refused, spec
+
+
+def _window_outcome(call):
+    """A Q_p result as its window (start, width, value), or the refusal."""
+    got = _images_outcome(call)
+    return got if isinstance(got, tuple) else (got.valuation_offset, got.width, got.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_window_rules_match_object_arithmetic(p, data):
+    # add, subtract and multiply, ``AffineQp``'s kernel and ``apply`` and
+    # compositions of Q_p parts give the object bodies' window or refusal:
+    # values that are zero, that have leading zero digits or that are any
+    # residue, windows that overlap and windows that are disjoint or only
+    # touch (their sums read the known zeros between them), an ``a`` with
+    # leading zeros, which the map makes canonical once, and a composition
+    # refused by its Z_p part
+    draw, prime = data.draw, Prime(p)
+
+    def window(start=None, nonzero=False):  # zero, leading zeros or any residue
+        n = draw(st.integers(1, 8))
+        v = draw(st.integers(-6, 6)) if start is None else start
+        X = draw(st.one_of(st.just(0), st.integers(0, p ** (n - 1) - 1).map(lambda q: q * p),
+                           st.integers(0, p**n - 1)))
+        return QpApprox._of(prime, v, n, X or nonzero * p ** (n - 1))
+
+    x, y = window(), window()
+    far = window(start=x.window_end + draw(st.integers(0, 3)))  # disjoint from x
+    for u, w in ((x, y), (y, x), (x, far), (far, x)):
+        for sign, op in ((1, lambda: u + w), (-1, lambda: u - w)):
+            assert _window_outcome(op) == _window_outcome(
+                lambda: qp_reference.addsub(u, w, sign)), (u, w, sign)
+        assert _window_outcome(lambda: u * w) == _window_outcome(
+            lambda: qp_reference.mul(u, w)), (u, w)
+    maps = [AffineQp(window(nonzero=True), window()) for _ in range(3)]
+    maps += [Compose(tuple(draw(st.sampled_from(maps[:3])) for _ in range(parts)))
+             for parts in (1, 2, 3)]
+    maps.append(Compose((maps[0], ShiftPower(prime, 1))))  # refused by its Z_p part
+    for spec in maps:
+        want = _window_outcome(lambda: qp_reference.reference_apply(spec, x))
+        assert _window_outcome(lambda: spec.apply(x)) == want, (spec, x)
+        assert _images_outcome(lambda: spec.output_window(
+            x.valuation_offset, x.width, x.value)) == want, (spec, x)
 
 
 def _extraction_cases():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from dilatation_reference import full_sweep_dilatation
+from qp_reference import addsub, reference_apply
 
 from padicdyn import shadowing
 from padicdyn.analysis import periodic_points
@@ -12,14 +13,17 @@ from padicdyn.core import (
     PadicError,
     PrecisionError,
     Prime,
+    PrimeMismatch,
     QpApprox,
     ZpApprox,
+    _window_addsub,
     distance,
 )
 from padicdyn.maps import (
     AffineQp,
     AffineZp,
     DigitFunctionTable,
+    MapSpec,
     ScalingClass,
     ShiftPower,
     Substitution,
@@ -593,14 +597,22 @@ def test_certify_expansion():
                 QpApprox(p, 0, tuple([1] + [0] * 9)), 2, 1, 2, seed=0))
 
 
-class _Shifted:
-    """A map that is ``base`` plus a constant: a planted wrong inverse."""
+class _Shifted(MapSpec):
+    """A Q_p map that is ``base`` plus a constant: a planted wrong inverse.
+    The solvers walk its kernel; the reference walk, its object ``apply``."""
+
+    domain = "qp"
 
     def __init__(self, base, c):
         self.base, self.c, self.prime = base, c, base.prime
 
+    def output_window(self, v, n, X):
+        c = self.c
+        return _window_addsub(self.prime, *self.base.output_window(v, n, X),
+                              c.valuation_offset, c.width, c.value, 1)
+
     def apply(self, x):
-        return self.base.apply(x) + self.c
+        return addsub(reference_apply(self.base, x), self.c, 1)
 
 
 def _plant(monkeypatch, *, point_shift=None, inverse_shift=None):
@@ -658,14 +670,39 @@ def test_certificate_walk_checks_backward_steps(monkeypatch):
         assert exc.type is PadicError
 
 
+def test_q_p_walk_refuses_what_apply_refused():
+    # the sweep and the certificate walk compute on digit windows, which
+    # carry no prime, so both check it once, with the message the value
+    # arithmetic gave (the isometry branch reaches the walk unchanged); a
+    # Z_p table or spec walked with a Q_p point is refused by its kernel as
+    # its ``apply`` refused the value
+    p2, p3 = Prime(2), Prime(3)
+    g3 = AffineQp(QpApprox(p3, -1, (1,) + (0,) * 29), QpApprox(p3, 0, (2,) + (0,) * 29))
+    x0 = QpApprox(p3, -1, (1, 2, 0, 1, 0, 2, 1, 1))
+    orbit = perturb_orbit(g3, x0, 2, 3, 1, back=2)
+    unit, dilatation = (QpApprox(p2, v, (1,) + (0,) * 9) for v in (0, -1))
+    for solve in (lambda: shadow_affine_qp(unit, QpApprox(p2, 0, (1,) * 10), orbit),
+                  lambda: shadow_dilatation(AffineQp(dilatation, unit), orbit)):
+        with pytest.raises(PrimeMismatch, match="primes 3 and 2"):
+            solve()
+    for f, name in ((table_from_spec(ShiftPower(p3, 1)), "a table"),
+                    (Substitution(p3, ((0,), (1,), (2,))), "Substitution")):
+        with pytest.raises(PrecisionError,
+                           match=f"domain mismatch: {name} acts on zp, got QpApprox"):
+            shadow_lipschitz(f, perturb_orbit(g3, x0, 2, 3, 1), certification="given")
+
+
 class _Rewired:
     """``base`` with a stated expansion exponent or a replaced inverse."""
 
     def __init__(self, base, *, k=None, inverse=None):
         self.base, self.k, self.inverse, self.prime = base, k, inverse, base.prime
 
+    def output_window(self, v, n, X):
+        return self.base.output_window(v, n, X)
+
     def apply(self, x):
-        return self.base.apply(x)
+        return reference_apply(self.base, x)
 
     def expansion_exponent(self):
         return self.base.expansion_exponent() if self.k is None else self.k
@@ -674,15 +711,17 @@ class _Rewired:
         return self.base.inverse_spec() if self.inverse is None else self.inverse
 
 
-class _Counting:
-    """``base`` counting its applications."""
+class _Counting(MapSpec):
+    """A Q_p ``base`` counting its kernel calls, which its ``apply`` makes too."""
+
+    domain = "qp"
 
     def __init__(self, base):
         self.base, self.prime, self.calls = base, base.prime, 0
 
-    def apply(self, x):
+    def output_window(self, v, n, X):
         self.calls += 1
-        return self.base.apply(x)
+        return self.base.output_window(v, n, X)
 
 
 def _dilatation_outcome(solve, g, orbit, **kw):
