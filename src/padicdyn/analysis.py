@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from .core import PadicError, PNorm, PrecisionError, ZpApprox, _val, distance
 from .maps import (
     DepthExhausted,
-    DigitFunctionTable,
-    MapSpec,
     ScalingClass,
     _check_budget,
     _decode,
@@ -118,8 +116,7 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     the pairs walked up to it as the count.  A caller-raised limit above
     ``maps.ENTRY_BUDGET`` is refused before any image is computed.  Above
     the limit, ``per_stratum`` seeded random pairs per distance stratum are
-    checked on ``output_value`` (the first x through ``apply`` too, for a
-    table's refusals), and the first violating one is the witness.
+    checked on ``output_value``, and the first violating one is the witness.
     """
     p = map_like.prime
     k, m = klass.k, klass.m
@@ -162,8 +159,6 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
             hi = rng.randrange(rest) if rest > 1 else 0
             yi = xi % pj + (yj + hi * p) * pj
             pairs += 1
-            if pairs == 1:
-                map_like.apply(ZpApprox._of(p, N, xi))
             got = _scaling_miss(*f(xi, N), *f(yi, N), p, j - m)
             if got is not None:
                 return ScalingReport(
@@ -297,15 +292,6 @@ class FixedPointReport:
         }
 
 
-def _resolve_table(map_like, depth_hint: int):
-    if isinstance(map_like, DigitFunctionTable):
-        return map_like, repr(map_like.klass), None
-    if isinstance(map_like, MapSpec):
-        return (table_from_spec(map_like, depth=depth_hint),
-                map_like.__class__.__name__, map_like)
-    raise TypeError(f"not a map: {map_like!r}")
-
-
 def fixed_points(map_like, *, precision: int = 12) -> FixedPointReport:
     """Exact fixed points of a table map: :func:`periodic_points` at n = 1."""
     return periodic_points(map_like, 1, precision=precision)
@@ -326,7 +312,9 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
         raise ValueError("period must be >= 1")
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    table, map_id, spec = _resolve_table(map_like, depth_hint=precision)
+    table = table_from_spec(map_like, depth=precision)
+    # "TableMap" is the id reports give a table, as for the "table" map files
+    map_id = "TableMap" if table is map_like else type(map_like).__name__
     p = table.prime
     m, l = table.klass.m, table.klass.l
     K = n * m + l
@@ -338,7 +326,7 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
     for idx in range(p**K):
         levels = [(idx, K)]
         for j in range(n):
-            levels.append(table.output_value(*levels[j]))
+            levels.append(table.level_value(*levels[j]))
         if levels[n][1] < l:
             raise DepthExhausted(
                 f"the table cannot give the {l} head digits of iterate {n}")
@@ -356,5 +344,5 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
         count=len(seeds),
         seeds=tuple(seeds),
         points=tuple(points),
-        closed_form=spec.closed_form(n) if spec is not None else None,
+        closed_form=map_like.closed_form(n),
     )

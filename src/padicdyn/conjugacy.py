@@ -124,7 +124,7 @@ def invert_shift_conjugacy(table: DigitFunctionTable, y: ZpApprox) -> ZpApprox:
         u = levels[0][1]
         n, r = divmod(u, k)
         if len(levels) <= n:
-            levels.append(table.output_value(*levels[n - 1]))
+            levels.append(table.level_value(*levels[n - 1]))
         _solve_next_digit(table, levels, n, y.value // p**u % p)
     return ZpApprox._of(p, N, levels[0][0])
 

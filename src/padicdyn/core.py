@@ -202,9 +202,7 @@ def _window_addsub(p: int, v: int, n: int, X: int, w: int, m: int, Y: int,
     a window are exact zeros, so disjoint windows still add."""
     lo = v if v < w else w
     end = v + n if v + n < w + m else w + m
-    n = end - lo
-    if n <= 0:
-        raise PrecisionError("empty overlap of Q_p windows")
+    n = end - lo  # >= 1: both ends lie above lo, and widths are >= 1
     # a window starting n or more digits above lo contributes only zeros
     if v > lo:
         X *= p ** (v - lo if v - lo < n else n)

@@ -14,21 +14,22 @@ projection f_i(x_0..x_{k-l+i}) = x_{k-l+i} (the digit functions of a shift
 power).  This keeps deep orbit evaluation affordable -- dense tables grow
 as p^arity -- while the extended family is still exactly locally scaling.
 
-Every map object -- the map specifications (:class:`ShiftPower`,
-:class:`Tj`, :class:`Rmap`, affine maps, substitutions, tables, Mahler
-series, compositions) and :class:`DigitFunctionTable` -- answers to
-``prime``, ``apply(x)`` and ``images(n)`` (``apply`` on every residue mod
-p^n), which a Z_p map computes from one integer kernel, ``output_value(x, n)``,
-and a Q_p map from one on digit windows, ``output_window(v, n, X)``;
-a result carries exactly the digits the input determines.  Each spec class
-states the facts its definition proves (see :class:`MapSpec`).
-Specs serialize to a stable JSON form, see ``docs/mapspec.md``.
+Every map object is a map specification, a :class:`MapSpec`:
+:class:`ShiftPower`, :class:`Tj`, :class:`Rmap`, affine maps,
+substitutions, Mahler series, compositions, and the table itself.  Each
+answers to ``prime``, ``apply(x)`` and ``images(n)`` (``apply`` on every
+residue mod p^n), which a Z_p map computes from one integer kernel,
+``output_value(x, n)``, and a Q_p map from one on digit windows,
+``output_window(v, n, X)``; a result carries exactly the digits the input
+determines.  Each spec class states the facts its definition proves (see
+:class:`MapSpec`).  Specs serialize to a stable JSON form, see
+``docs/mapspec.md``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .core import (
@@ -118,231 +119,13 @@ class ScalingClass:
         return (self.l + s) if self.m < self.k else (self.k + s)
 
 
-@dataclass(frozen=True)
-class DigitFunctionTable:
-    """Dense digit-function tables for a (p^-k, p^m) locally scaling map.
-
-    ``tables[i]`` is the function for output digit i, indexed by the
-    mixed-radix encoding of its arguments (digit t contributes x_t * p^t);
-    the last argument is the highest-order position.  Arity is k for i < l
-    and k-l+i+1 for i >= l.  Construction verifies digit ranges, table
-    sizes, and bijectivity on the last variable for every i >= l, aborting
-    with a witness on failure.
-
-    With ``tail_projection`` set, output digits at i >= len(tables) use the
-    projection onto the last variable, so the map is defined at every depth.
-    An input known to N digits is the integer x mod p^N, and the mixed-radix
-    index of its first t digits is x mod p^t, so :meth:`output_value` reads
-    each row straight from that integer; it is the forward evaluation that
-    ``apply`` and the solvers' digit streams share (a solve step then adds
-    one digit per stream with one :meth:`digit_value` read).  :meth:`images`
-    gives ``apply`` on every residue mod p^n, one list pass per function.
-
-    Because every digit function at i >= l is a bijection in its last
-    variable, it has an inverse in that variable: :meth:`inverse_value`
-    finds it in the function's own table, so no inverse is stored.
-    ``stored_depth`` (the number of stored functions) and ``l`` are plain
-    attributes.
-    """
-
-    prime: Prime
-    klass: ScalingClass
-    tables: tuple
-    tail_projection: bool = False
-
-    def __post_init__(self):
-        if not isinstance(self.prime, Prime):
-            object.__setattr__(self, "prime", Prime(self.prime))
-        object.__setattr__(self, "tables", tuple(tuple(t) for t in self.tables))
-        object.__setattr__(self, "stored_depth", len(self.tables))
-        object.__setattr__(self, "l", self.klass.l)
-        p = self.prime
-        for i, table in enumerate(self.tables):
-            a = self.arity(i)
-            if len(table) != p**a:
-                raise ValueError(
-                    f"digit function {i} has {len(table)} entries, expected {p}**{a}"
-                )
-            if min(table) < 0 or max(table) >= p:
-                entry = next(e for e in table if not 0 <= e < p)
-                raise ValueError(f"digit function {i} has out-of-range entry {entry}")
-            if i >= self.l:
-                P = p ** (a - 1)
-                for prefix in range(P):
-                    if len(set(table[prefix::P])) != p:
-                        raise BijectivityViolation(i, _decode(prefix, p, a - 1))
-
-    def arity(self, i: int) -> int:
-        k, l = self.klass.k, self.l
-        return k if i < l else k - l + i + 1
-
-    def has_digit(self, i: int) -> bool:
-        return i < self.stored_depth or (self.tail_projection and i >= self.l)
-
-    def digit_value(self, i: int, idx: int) -> int:
-        """Value of digit function i at the encoded argument tuple."""
-        if i < self.stored_depth:
-            return self.tables[i][idx]
-        if self.tail_projection and i >= self.l:
-            return idx // self.prime ** (self.klass.m + i)
-        raise DepthExhausted(f"no digit function at output index {i}")
-
-    def inverse_value(self, i: int, prefix: int, target: int) -> int:
-        """The last argument c with f_i(prefix, c) = target, for a digit
-        function i >= l; ``prefix`` encodes the first arity(i) - 1 arguments.
-
-        Row ``prefix::P`` of ``tables[i]`` (P = p^(arity(i)-1)) holds the p
-        values f_i(prefix, c), so c is the position of ``target`` in it; a
-        projection digit inverts to ``target`` itself.  Raises ValueError
-        when ``target`` is not a value of the row."""
-        if i < self.stored_depth:
-            row = self.tables[i]
-            return row[prefix::len(row) // self.prime].index(target)
-        if self.tail_projection and i >= self.l:
-            return target
-        raise DepthExhausted(f"no digit function at output index {i}")
-
-    def output_value(self, x: int, n: int) -> tuple:
-        """The output at an input known to ``n`` digits as ``x`` = input mod
-        p^n: returns (y, length) with every output digit those n digits
-        determine, up to the table's depth.  Digit function i >= l reads row
-        x mod p^(m+i+1), a head function row x mod p^k.  Raises
-        :class:`DepthExhausted` when a head function (i < l) is not stored."""
-        k, m, l, depth = self.klass.k, self.klass.m, self.l, self.stored_depth
-        if n < k:
-            return 0, 0
-        p, tables, y, i, pw = self.prime, self.tables, 0, 0, 1
-        if l:
-            if depth < l:
-                raise DepthExhausted(f"no digit function at output index {depth}")
-            row = x % p**k
-            while i < l:
-                y += tables[i][row] * pw
-                pw *= p
-                i += 1
-        # output digit i >= l reads input digits 0..m+i
-        stop = n - m
-        stored_stop = stop if stop < depth else depth
-        mod = pw * p ** (m + 1)
-        while i < stored_stop:
-            y += tables[i][x % mod] * pw
-            pw *= p
-            mod *= p
-            i += 1
-        if self.tail_projection and i < stop:
-            # the projection tail: output digits i..stop-1 are input digits m+i..n-1
-            return y + x // p ** (m + i) * pw, stop
-        return y, i
-
-    def check_precision(self, n: int) -> None:
-        """Raise ``apply``'s refusal where n input digits give no output digit."""
-        k, m = self.klass.k, self.klass.m
-        if n < k or n <= m:
-            raise PrecisionError(
-                f"precision {n} cannot determine any output digit of a "
-                f"({self.prime}^-{k}, {self.prime}^{m}) table map"
-            )
-        if not (self.tail_projection or self.stored_depth):
-            raise DepthExhausted("table depth exhausted before the first digit")
-
-    def apply(self, x: ZpApprox) -> ZpApprox:
-        """Apply the map; the result has precision N - (k-l), capped by depth."""
-        if not isinstance(x, ZpApprox):
-            raise PrecisionError(f"domain mismatch: a table acts on zp, got {type(x).__name__}")
-        if x.prime != self.prime:
-            raise PrimeMismatch(f"primes {x.prime} and {self.prime}")
-        self.check_precision(x.precision)
-        y, n = self.output_value(x.value, x.precision)
-        return ZpApprox._of(self.prime, n, y)
-
-    def output_window(self, v: int, n: int, X: int) -> tuple:
-        """A table acts on Z_p: a Q_p window is refused as ``apply`` refuses it."""
-        return self.apply(QpApprox._of(self.prime, v, n, X))
-
-    def images(self, n: int) -> tuple:
-        """``apply`` on every residue x mod p^n, in order of x: (values, precisions)."""
-        p, k, m, l = self.prime, self.klass.k, self.klass.m, self.l
-        self.check_precision(n)
-        n_out = self.output_value(0, n)[1]  # DepthExhausted without the heads
-        vals, stored = [0] * p**k, min(n_out, self.stored_depth)
-        for i in range(stored):  # from the residues mod p^(m+i) to mod p^(m+i+1)
-            pw = p**i
-            vals = [v + t * pw for v, t in zip(vals * p if i >= l else vals, self.tables[i])]
-        reps, pw = p ** (n - m - stored), p**stored  # a projection digit i >= stored is x_(m+i)
-        vals = [v + q * pw for q in range(reps) for v in vals] if n_out > stored else vals * reps
-        return vals, [n_out] * p**n
-
-    def inverse_spec(self):
-        """A table map is p^m-to-one, so it never has an exact inverse."""
-        raise PrecisionError(f"no exact inverse available for {type(self).__name__}")
-
-
-def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,
-                 tail_projection: bool = True) -> DigitFunctionTable:
-    """A uniformly random valid table: arbitrary heads, a random permutation of
-    the alphabet per prefix for every tail function."""
-    p = Prime(prime)
-    arities = [klass.k if i < klass.l else klass.k - klass.l + i + 1 for i in range(depth)]
-    _check_budget(sum(p**a for a in arities), "a random table")
-    tables = []
-    for i, a in enumerate(arities):
-        if i < klass.l:
-            tables.append(tuple(rng.randrange(p) for _ in range(p**a)))
-        else:
-            P = p ** (a - 1)
-            entries = [0] * p**a
-            for prefix in range(P):
-                perm = list(range(p))
-                rng.shuffle(perm)
-                entries[prefix::P] = perm
-            tables.append(tuple(entries))
-    return DigitFunctionTable(p, klass, tuple(tables), tail_projection=tail_projection)
-
-
-def perturb_table(rng, base: DigitFunctionTable, first_digit: int, depth: int) -> DigitFunctionTable:
-    """Replace the digit functions at indices >= first_digit by random ones.
-
-    The result agrees with ``base`` on every output digit below
-    ``first_digit``, so the sup-distance between the two maps is at most
-    p^-first_digit, while both remain exactly locally scaling.
-    """
-    if first_digit < base.klass.l:
-        raise ValueError("cannot perturb head digit functions below l")
-    p = base.prime
-    # stored rows are kept as they are; only projection digits are densified
-    dense = range(base.stored_depth, first_digit)
-    _check_budget(sum(p**base.arity(i) for i in dense), "the densified projection digits")
-    kept = base.tables[:first_digit] + tuple(
-        tuple(base.digit_value(i, idx) for idx in range(p**base.arity(i))) for i in dense)
-    rand = random_table(rng, p, base.klass, depth, tail_projection=base.tail_projection)
-    tables = kept + rand.tables[first_digit:depth]
-    return DigitFunctionTable(p, base.klass, tables,
-                              tail_projection=base.tail_projection)
-
-
-def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
-                                depth: int) -> int | None:
-    """Exact ||f - g||_inf as an exponent: the first output digit where the
-    tables differ, by exhaustive comparison through ``depth``.  None means the
-    maps agree on every compared digit (sup distance <= p^-depth)."""
-    if f.prime != g.prime:
-        raise PrimeMismatch(f"tables over primes {f.prime} and {g.prime}")
-    if f.klass != g.klass:
-        raise ValueError(f"tables of classes {f.klass} and {g.klass}")
-    p = f.prime
-    _check_budget(sum(p**f.arity(i) for i in range(depth)), "the sup-distance comparison")
-    for i in range(depth):
-        for idx in range(p**f.arity(i)):
-            if f.digit_value(i, idx) != g.digit_value(i, idx):
-                return i
-    return None
-
-
 class MapSpec:
-    """Base class for serializable map descriptions.  Subclasses set
-    ``domain`` to "zp" or "qp".  A Z_p class implements the integer kernel
-    ``output_value(x, n) -> (y, length)`` on residues x mod p^n, and ``apply``
-    and ``images`` are defined once, on it; a Q_p class implements the kernel
+    """Base class for maps: the classical specs, affine maps, substitutions,
+    Mahler series, compositions and :class:`DigitFunctionTable`, each with
+    a serializable form.  Subclasses set ``domain`` to "zp" or "qp".  A Z_p
+    class implements the integer kernel ``output_value(x, n) -> (y,
+    length)`` on residues x mod p^n, and ``apply`` and ``images`` are
+    defined once, on it; a Q_p class implements the kernel
     ``output_window(v, n, X) -> (v, n, X)`` on the value p^v X known on the
     digit window [v, v+n), and ``apply`` is defined on that.  Each kernel
     refuses a map of the other domain with ``apply``'s "domain mismatch".
@@ -422,6 +205,236 @@ class MapSpec:
 
     def spec_dict(self) -> dict:
         raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class DigitFunctionTable(MapSpec):
+    """Dense digit-function tables for a (p^-k, p^m) locally scaling map.
+
+    ``tables[i]`` is the function for output digit i, indexed by the
+    mixed-radix encoding of its arguments (digit t contributes x_t * p^t);
+    the last argument is the highest-order position.  Arity is k for i < l
+    and k-l+i+1 for i >= l.  Construction verifies digit ranges, table
+    sizes, and bijectivity on the last variable for every i >= l, aborting
+    with a witness on failure.
+
+    With ``tail_projection`` set, output digits at i >= len(tables) use the
+    projection onto the last variable, so the map is defined at every depth.
+    An input known to N digits is the integer x mod p^N, and the mixed-radix
+    index of its first t digits is x mod p^t, so :meth:`level_value` reads
+    each row straight from that integer; it is the forward step of the
+    solvers' digit streams (a solve step then adds one digit per stream with
+    one :meth:`digit_value` read), and the table's kernel
+    :meth:`output_value` is that step behind ``apply``'s refusal.  The table
+    is a :class:`MapSpec` like any other: it inherits ``apply``, and
+    :meth:`images` gives ``apply`` on every residue mod p^n, one list pass
+    per function.
+
+    Because every digit function at i >= l is a bijection in its last
+    variable, it has an inverse in that variable: :meth:`inverse_value`
+    finds it in the function's own table, so no inverse is stored.
+    ``stored_depth`` (the number of stored functions) and ``l`` are plain
+    attributes.
+    """
+
+    prime: Prime
+    klass: ScalingClass = field()  # else MapSpec.klass = None would be its default
+    tables: tuple
+    tail_projection: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.prime, Prime):
+            object.__setattr__(self, "prime", Prime(self.prime))
+        object.__setattr__(self, "tables", tuple(tuple(t) for t in self.tables))
+        object.__setattr__(self, "stored_depth", len(self.tables))
+        object.__setattr__(self, "l", self.klass.l)
+        p = self.prime
+        for i, table in enumerate(self.tables):
+            a = self.arity(i)
+            if len(table) != p**a:
+                raise ValueError(
+                    f"digit function {i} has {len(table)} entries, expected {p}**{a}"
+                )
+            if min(table) < 0 or max(table) >= p:
+                entry = next(e for e in table if not 0 <= e < p)
+                raise ValueError(f"digit function {i} has out-of-range entry {entry}")
+            if i >= self.l:
+                P = p ** (a - 1)
+                for prefix in range(P):
+                    if len(set(table[prefix::P])) != p:
+                        raise BijectivityViolation(i, _decode(prefix, p, a - 1))
+
+    def arity(self, i: int) -> int:
+        k, l = self.klass.k, self.l
+        return k if i < l else k - l + i + 1
+
+    def has_digit(self, i: int) -> bool:
+        return i < self.stored_depth or (self.tail_projection and i >= self.l)
+
+    def digit_value(self, i: int, idx: int) -> int:
+        """Value of digit function i at the encoded argument tuple."""
+        if i < self.stored_depth:
+            return self.tables[i][idx]
+        if self.tail_projection and i >= self.l:
+            return idx // self.prime ** (self.klass.m + i)
+        raise DepthExhausted(f"no digit function at output index {i}")
+
+    def inverse_value(self, i: int, prefix: int, target: int) -> int:
+        """The last argument c with f_i(prefix, c) = target, for a digit
+        function i >= l; ``prefix`` encodes the first arity(i) - 1 arguments.
+
+        Row ``prefix::P`` of ``tables[i]`` (P = p^(arity(i)-1)) holds the p
+        values f_i(prefix, c), so c is the position of ``target`` in it; a
+        projection digit inverts to ``target`` itself.  Raises ValueError
+        when ``target`` is not a value of the row."""
+        if i < self.stored_depth:
+            row = self.tables[i]
+            return row[prefix::len(row) // self.prime].index(target)
+        if self.tail_projection and i >= self.l:
+            return target
+        raise DepthExhausted(f"no digit function at output index {i}")
+
+    def level_value(self, x: int, n: int) -> tuple:
+        """The digit streams' forward step: the output at an input known to
+        ``n`` digits as ``x`` = input mod p^n, as (y, length) with every
+        output digit those n digits determine, up to the table's depth, and
+        (0, 0) where they determine none.  Digit function i >= l reads row
+        x mod p^(m+i+1), a head function row x mod p^k.  Raises
+        :class:`DepthExhausted` when a head function (i < l) is not stored."""
+        k, m, l, depth = self.klass.k, self.klass.m, self.l, self.stored_depth
+        if n < k:
+            return 0, 0
+        p, tables, y, i, pw = self.prime, self.tables, 0, 0, 1
+        if l:
+            if depth < l:
+                raise DepthExhausted(f"no digit function at output index {depth}")
+            row = x % p**k
+            while i < l:
+                y += tables[i][row] * pw
+                pw *= p
+                i += 1
+        # output digit i >= l reads input digits 0..m+i
+        stop = n - m
+        stored_stop = stop if stop < depth else depth
+        mod = pw * p ** (m + 1)
+        while i < stored_stop:
+            y += tables[i][x % mod] * pw
+            pw *= p
+            mod *= p
+            i += 1
+        if self.tail_projection and i < stop:
+            # the projection tail: output digits i..stop-1 are input digits m+i..n-1
+            return y + x // p ** (m + i) * pw, stop
+        return y, i
+
+    def output_value(self, x: int, n: int) -> tuple:
+        """The kernel: :meth:`level_value`, refused where n input digits
+        give no output digit."""
+        k, m = self.klass.k, self.klass.m
+        if n < k or n <= m:
+            raise PrecisionError(
+                f"precision {n} cannot determine any output digit of a "
+                f"({self.prime}^-{k}, {self.prime}^{m}) table map"
+            )
+        if not (self.tail_projection or self.stored_depth):
+            raise DepthExhausted("table depth exhausted before the first digit")
+        return self.level_value(x, n)
+
+    def images(self, n: int) -> tuple:
+        """``apply`` on every residue x mod p^n, in order of x: (values, precisions)."""
+        p, k, m, l = self.prime, self.klass.k, self.klass.m, self.l
+        n_out = self.output_value(0, n)[1]  # the refusals, and DepthExhausted without the heads
+        vals, stored = [0] * p**k, min(n_out, self.stored_depth)
+        for i in range(stored):  # from the residues mod p^(m+i) to mod p^(m+i+1)
+            pw = p**i
+            vals = [v + t * pw for v, t in zip(vals * p if i >= l else vals, self.tables[i])]
+        reps, pw = p ** (n - m - stored), p**stored  # a projection digit i >= stored is x_(m+i)
+        vals = [v + q * pw for q in range(reps) for v in vals] if n_out > stored else vals * reps
+        return vals, [n_out] * p**n
+
+    def min_input_precision(self, n_out: int) -> int:
+        k, l = self.klass.k, self.l
+        return k if n_out <= l else k - l + n_out
+
+    def structural_table(self) -> "DigitFunctionTable":
+        return self
+
+    def spec_dict(self) -> dict:
+        return {
+            "type": "table",
+            "p": int(self.prime),
+            "k": self.klass.k,
+            "m": self.klass.m,
+            "tail_projection": self.tail_projection,
+            "arities": [self.arity(i) for i in range(self.stored_depth)],
+            "tables": [list(t) for t in self.tables],
+        }
+
+
+def TableMap(table: DigitFunctionTable) -> DigitFunctionTable:
+    """The table itself: a table is a map spec."""
+    return table
+
+
+def random_table(rng, prime: int, klass: ScalingClass, depth: int, *,
+                 tail_projection: bool = True) -> DigitFunctionTable:
+    """A uniformly random valid table: arbitrary heads, a random permutation of
+    the alphabet per prefix for every tail function."""
+    p = Prime(prime)
+    arities = [klass.k if i < klass.l else klass.k - klass.l + i + 1 for i in range(depth)]
+    _check_budget(sum(p**a for a in arities), "a random table")
+    tables = []
+    for i, a in enumerate(arities):
+        if i < klass.l:
+            tables.append(tuple(rng.randrange(p) for _ in range(p**a)))
+        else:
+            P = p ** (a - 1)
+            entries = [0] * p**a
+            for prefix in range(P):
+                perm = list(range(p))
+                rng.shuffle(perm)
+                entries[prefix::P] = perm
+            tables.append(tuple(entries))
+    return DigitFunctionTable(p, klass, tuple(tables), tail_projection=tail_projection)
+
+
+def perturb_table(rng, base: DigitFunctionTable, first_digit: int, depth: int) -> DigitFunctionTable:
+    """Replace the digit functions at indices >= first_digit by random ones.
+
+    The result agrees with ``base`` on every output digit below
+    ``first_digit``, so the sup-distance between the two maps is at most
+    p^-first_digit, while both remain exactly locally scaling.
+    """
+    if first_digit < base.klass.l:
+        raise ValueError("cannot perturb head digit functions below l")
+    p = base.prime
+    # stored rows are kept as they are; only projection digits are densified
+    dense = range(base.stored_depth, first_digit)
+    _check_budget(sum(p**base.arity(i) for i in dense), "the densified projection digits")
+    kept = base.tables[:first_digit] + tuple(
+        tuple(base.digit_value(i, idx) for idx in range(p**base.arity(i))) for i in dense)
+    rand = random_table(rng, p, base.klass, depth, tail_projection=base.tail_projection)
+    tables = kept + rand.tables[first_digit:depth]
+    return DigitFunctionTable(p, base.klass, tables,
+                              tail_projection=base.tail_projection)
+
+
+def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
+                                depth: int) -> int | None:
+    """Exact ||f - g||_inf as an exponent: the first output digit where the
+    tables differ, by exhaustive comparison through ``depth``.  None means the
+    maps agree on every compared digit (sup distance <= p^-depth)."""
+    if f.prime != g.prime:
+        raise PrimeMismatch(f"tables over primes {f.prime} and {g.prime}")
+    if f.klass != g.klass:
+        raise ValueError(f"tables of classes {f.klass} and {g.klass}")
+    p = f.prime
+    _check_budget(sum(p**f.arity(i) for i in range(depth)), "the sup-distance comparison")
+    for i in range(depth):
+        for idx in range(p**f.arity(i)):
+            if f.digit_value(i, idx) != g.digit_value(i, idx):
+                return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -718,47 +731,6 @@ class Substitution(MapSpec):
 
 
 @dataclass(frozen=True)
-class TableMap(MapSpec):
-    """A map given directly by a digit-function table."""
-
-    table: DigitFunctionTable
-
-    @property
-    def prime(self) -> Prime:
-        return self.table.prime
-
-    def output_value(self, x: int, n: int) -> tuple:
-        self.table.check_precision(n)
-        return self.table.output_value(x, n)
-
-    def images(self, n: int) -> tuple:
-        return self.table.images(n)
-
-    def min_input_precision(self, n_out: int) -> int:
-        k, l = self.table.klass.k, self.table.klass.l
-        return k if n_out <= l else k - l + n_out
-
-    @property
-    def klass(self) -> ScalingClass:
-        return self.table.klass
-
-    def structural_table(self) -> DigitFunctionTable:
-        return self.table
-
-    def spec_dict(self) -> dict:
-        t = self.table
-        return {
-            "type": "table",
-            "p": int(t.prime),
-            "k": t.klass.k,
-            "m": t.klass.m,
-            "tail_projection": t.tail_projection,
-            "arities": [t.arity(i) for i in range(t.stored_depth)],
-            "tables": [list(tt) for tt in t.tables],
-        }
-
-
-@dataclass(frozen=True)
 class MahlerMap(MapSpec):
     """A map given by a truncated Mahler series."""
 
@@ -1003,13 +975,12 @@ def _build_subst(d):
 
 @_register("table")
 def _build_table(d):
-    table = DigitFunctionTable(
+    return DigitFunctionTable(
         Prime(d["p"]),
         ScalingClass(int(d["k"]), int(d["m"])),
         tuple(tuple(t) for t in d["tables"]),
         tail_projection=bool(d.get("tail_projection", False)),
     )
-    return TableMap(table)
 
 
 @_register("mahler")

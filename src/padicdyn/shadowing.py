@@ -47,7 +47,7 @@ Solvers:
 Every solver verifies its point with one two-sided check, ``_certified``:
 forward through f, backward through f^-1, every distance against the
 solver's bound as it is computed.  Z_p maps are evaluated only through
-``prime`` and ``apply``, which tables and specs both provide; Q_p maps,
+``prime`` and ``apply``, which every map provides; Q_p maps,
 whose points the dilatation sweep and the check carry as digit windows
 (v, n, X), through ``prime`` and their kernel ``output_window``.
 """
@@ -360,7 +360,7 @@ def shadow_locally_scaling(table: DigitFunctionTable, orbit: PseudoOrbit,
     head = p ** (l + s)
     levels = [(orbit.points[0].value % p ** (k + s), k + s)]
     for n in range(1, T + 1):
-        levels.append(table.output_value(*levels[n - 1]))
+        levels.append(table.level_value(*levels[n - 1]))
         zn, length = levels[n]
         x_n = orbit.points[n].value
         if length != l + s:

@@ -6,10 +6,12 @@ output at the residue x mod p^n as an integer and a length, and ``apply``
 is defined once on top of it.  These are the ``apply`` bodies the classes
 had before: shifts, T_j and R slice the input's integer, affine maps run
 ``ZpApprox``/``QpApprox`` arithmetic, a substitution concatenates digit
-words, and a composition applies its parts in turn.  The tests check that
-every kernel gives the same value, precision and refusal.  The module is
-not collected by pytest (no ``test_`` prefix); test modules import it by
-name, since pytest puts their own directory on ``sys.path``.
+words, a table refuses the precisions that give no output digit and then
+takes its digit streams' forward step, and a composition applies its
+parts in turn.  The tests check that every kernel gives the same value,
+precision and refusal.  The module is not collected by pytest (no
+``test_`` prefix); test modules import it by name, since pytest puts
+their own directory on ``sys.path``.
 """
 
 from padicdyn.core import PrecisionError, QpApprox, ZpApprox, mod_zp
@@ -17,12 +19,13 @@ from padicdyn.mahler import mahler_eval
 from padicdyn.maps import (
     AffineZp,
     Compose,
+    DepthExhausted,
+    DigitFunctionTable,
     GaModZp,
     MahlerMap,
     Rmap,
     ShiftPower,
     Substitution,
-    TableMap,
     Tj,
 )
 
@@ -58,6 +61,19 @@ def _substitution(spec, x):
     return ZpApprox(x.prime, tuple(out))
 
 
+def _table(table, x):
+    n, k, m = x.precision, table.klass.k, table.klass.m
+    if n < k or n <= m:
+        raise PrecisionError(
+            f"precision {n} cannot determine any output digit of a "
+            f"({table.prime}^-{k}, {table.prime}^{m}) table map"
+        )
+    if not (table.tail_projection or table.stored_depth):
+        raise DepthExhausted("table depth exhausted before the first digit")
+    y, n = table.level_value(x.value, n)
+    return ZpApprox._of(table.prime, n, y)
+
+
 def _compose(spec, x):
     for part in spec.parts:
         x = reference_apply(part, x)
@@ -71,7 +87,7 @@ _BODIES = {
     AffineZp: lambda spec, x: spec.a * x + spec.b,
     GaModZp: lambda spec, x: mod_zp(spec.a * QpApprox.from_zp(x)),
     Substitution: _substitution,
-    TableMap: lambda spec, x: spec.table.apply(x),
+    DigitFunctionTable: _table,
     MahlerMap: lambda spec, x: mahler_eval(spec.series, x),
     Compose: _compose,
 }

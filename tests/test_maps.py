@@ -1,14 +1,17 @@
 """Digit-function tables, map evaluation, extraction, iteration, serialization."""
 
+import ast
 import hashlib
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn.analysis import expansivity_check, fixed_points, verify_scaling
+import padicdyn
+from padicdyn.analysis import expansivity_check, fixed_points, periodic_points, verify_scaling
 from padicdyn.core import (
     PadicError,
     PNorm,
@@ -18,12 +21,13 @@ from padicdyn.core import (
     ZpApprox,
     distance,
 )
-from padicdyn.mahler import MahlerSeries
+from padicdyn.mahler import MahlerSeries, series_from_values
 from padicdyn.maps import (
     ENTRY_BUDGET,
     AffineQp,
     AffineZp,
     BijectivityViolation,
+    CertificationError,
     Compose,
     DepthExhausted,
     DigitFunctionTable,
@@ -49,6 +53,7 @@ from padicdyn.maps import (
     table_sup_distance_exponent,
 )
 from padicdyn.oracle import brute_fixed_point_count
+from padicdyn.shadowing import certify_one_lipschitz
 
 import qp_reference
 from apply_reference import reference_apply
@@ -511,7 +516,7 @@ def test_extract_table_work_is_pinned(monkeypatch):
     monkeypatch.setattr(DigitFunctionTable, "apply",
                         lambda self, x: table_calls.append(x) or apply(self, x))
     for spec, (k, m), depth in _extraction_cases()[0]:
-        if not isinstance(spec, TableMap):  # a table spec applies its own table
+        if spec.structural_table() is not spec:  # the pin is on specs, not tables
             counting = _CountingSpec(spec)
             extract_table(counting, ScalingClass(k, m), depth)
             assert counting.calls == 2 * spec.prime ** max(k, m + depth), spec
@@ -563,6 +568,50 @@ def test_every_map_answers_to_prime_and_apply():
     assert verify_scaling(it, it.klass, 7).verified
     assert expansivity_check(it, 2, horizon=4, precision=6).all_separated
     assert brute_fixed_point_count(it, 2, 6) == fixed_points(it).count == 4
+
+
+def test_a_bare_table_goes_wherever_a_spec_goes():
+    # a table is a map spec: Mahler coefficients, the Lipschitz check (a
+    # locally scaling map expands, so the sampled route finds a pair), a
+    # composition part, the JSON form and the fixed-point report's map id
+    p2 = Prime(2)
+    t = random_table(random.Random(41), p2, ScalingClass(2, 1), 6)
+    values = [t.apply(ZpApprox.from_int(j, p2, 12)).truncate(8).value for j in range(9)]
+    assert mahler_coefficients(t, 8, 8) == series_from_values(p2, values, 8)
+    with pytest.raises(CertificationError, match="pair breaks the factor p\\^-0"):
+        certify_one_lipschitz(t)
+    shift = ShiftPower(p2, 1)
+    for idx in range(2**6):
+        x = ZpApprox.from_int(idx, p2, 6)
+        assert Compose((t, shift)).apply(x) == shift.apply(t.apply(x))
+    text = dumps_spec(t)
+    again = loads_spec(text)
+    assert type(again) is DigitFunctionTable and again == t and dumps_spec(again) == text
+    assert fixed_points(t).map_id == "TableMap"
+    assert periodic_points(t, 2).map_id == "TableMap^(2)"
+    assert isinstance(t, MapSpec) and TableMap(t) is t and t.structural_table() is t
+
+
+def test_no_isinstance_names_a_map_class():
+    # every map answers to one protocol, so the library never asks which
+    # kind of map it holds: no isinstance call names MapSpec or a subclass
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(padicdyn.__file__).parent.glob("*.py")}
+    classes = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    map_classes, grew = {"MapSpec", "DigitFunctionTable"}, True
+    while grew:
+        found = {c.name for c in classes
+                 if any(isinstance(b, ast.Name) and b.id in map_classes for b in c.bases)}
+        grew = not found <= map_classes
+        map_classes |= found
+    hits = [(module, node.lineno, name)
+            for module, tree in sorted(trees.items()) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            for arg in node.args[1:] for sub in ast.walk(arg)
+            for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
+            if name in map_classes]
+    assert not hits
 
 
 def test_iterate_composition_law():

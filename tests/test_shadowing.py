@@ -249,10 +249,10 @@ def _brute_next_digits(table, levels, n, target):
 
 def _tower(table, level0, n):
     """The digit stream ``level0`` and its iterates 1..n, each a stream
-    (value, length) computed afresh by the forward kernel."""
+    (value, length) computed afresh by the streams' forward step."""
     levels = [level0]
     for j in range(n):
-        levels.append(table.output_value(*levels[j]))
+        levels.append(table.level_value(*levels[j]))
     return levels
 
 
@@ -685,7 +685,7 @@ def test_q_p_walk_refuses_what_apply_refused():
                   lambda: shadow_dilatation(AffineQp(dilatation, unit), orbit)):
         with pytest.raises(PrimeMismatch, match="primes 3 and 2"):
             solve()
-    for f, name in ((table_from_spec(ShiftPower(p3, 1)), "a table"),
+    for f, name in ((table_from_spec(ShiftPower(p3, 1)), "DigitFunctionTable"),
                     (Substitution(p3, ((0,), (1,), (2,))), "Substitution")):
         with pytest.raises(PrecisionError,
                            match=f"domain mismatch: {name} acts on zp, got QpApprox"):
