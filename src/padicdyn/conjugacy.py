@@ -89,20 +89,23 @@ def conjugate_to_shift(table: DigitFunctionTable, x: ZpApprox) -> ZpApprox:
     """h(x) for a class-(k,k) table map: blocks of f-iterate digits.
 
     Digit qk+r of h(x) is digit r of f^q(x), which depends only on digits
-    0..qk+r of x, so the result has x's full precision.
+    0..qk+r of x, so the result has x's full precision.  Each iterate is
+    read through the table's kernel ``output_value``.
     """
     if table.klass.m != table.klass.k:
         raise PadicError(f"shift conjugation needs class (k,k), got {table.klass}")
     k, p, N = table.klass.k, x.prime, x.precision
-    h, n, z = 0, 0, x
+    if N > k:  # the blocks go past f^0(x): apply's checks, once
+        table._check_domain(x)
+    h, n, z, length = 0, 0, x.value, N
     while True:
-        # a short iterate gives a short block, and the next apply refuses it
-        t = min(k, N - n, z.precision)
-        h += z.value % p**t * p**n
+        # a short iterate gives a short block, and the next kernel call refuses it
+        t = min(k, N - n, length)
+        h += z % p**t * p**n
         n += t
         if n >= N:
             break
-        z = table.apply(z)
+        z, length = table.output_value(z, length)
     return ZpApprox._of(p, N, h)
 
 

@@ -46,10 +46,10 @@ Solvers:
 
 Every solver verifies its point with one two-sided check, ``_certified``:
 forward through f, backward through f^-1, every distance against the
-solver's bound as it is computed.  Z_p maps are evaluated only through
-``prime`` and ``apply``, which every map provides; Q_p maps,
-whose points the dilatation sweep and the check carry as digit windows
-(v, n, X), through ``prime`` and their kernel ``output_window``.
+solver's bound as it is computed.  The check, the dilatation sweep,
+``perturb_orbit`` and the pseudo-orbit residuals walk digit windows
+(v, n, X) through the maps' kernels, ``output_value`` on Z_p (v = 0) and
+``output_window`` on Q_p, and build values only where they are returned.
 """
 
 from __future__ import annotations
@@ -116,10 +116,7 @@ class PseudoOrbit:
 
     @classmethod
     def from_map(cls, map_like, points, start_index: int = 0) -> "PseudoOrbit":
-        residuals = tuple(
-            points[i + 1] - map_like.apply(points[i]) for i in range(len(points) - 1)
-        )
-        return cls(tuple(points), residuals, start_index)
+        return cls(tuple(points), tuple(_residuals(map_like, points)), start_index)
 
     @property
     def prime(self) -> Prime:
@@ -141,15 +138,46 @@ class PseudoOrbit:
 
     @property
     def certified_delta(self) -> PNorm:
-        return pnorm_max(w.norm() for w in self.residuals)
+        # pnorm_max of the residual norms: the least exact and bound exponents
+        windows = [(w.prime, *_window(w)) for w in self.residuals]
+        exact = min((v + _val(X, q, 0) for q, v, n, X in windows if X), default=math.inf)
+        bound = min((v + n for q, v, n, X in windows if not X), default=math.inf)
+        return PNorm(exact) if exact <= bound else PNorm(bound, exact=False)
 
     def validate(self, map_like) -> bool:
         """Recompute every residual from the points and compare digitwise."""
-        for i in range(len(self.points) - 1):
-            w = self.points[i + 1] - map_like.apply(self.points[i])
-            if w != self.residuals[i]:
-                return False
-        return True
+        return all(w == r for w, r in zip(_residuals(map_like, self.points), self.residuals))
+
+
+def _window(x) -> tuple:
+    """A value's digit window (v, n, X); a Z_p value's starts at 0."""
+    qp = isinstance(x, QpApprox)
+    return (x.valuation_offset, x.width, x.value) if qp else (0, x.precision, x.value)
+
+
+def _value(like, v: int, n: int, X: int):
+    """The value on a window, of ``like``'s type and prime."""
+    qp = isinstance(like, QpApprox)
+    return QpApprox._of(like.prime, v, n, X) if qp else ZpApprox._of(like.prime, n, X)
+
+
+def _kernel(f, x):
+    """f's kernel on windows, after ``apply``'s checks on x: ``output_window``
+    on Q_p, ``output_value`` at v = 0 on Z_p."""
+    f._check_domain(x)
+    value = f.output_value
+    return f.output_window if isinstance(x, QpApprox) else lambda v, n, X: (0, *value(X, n)[::-1])
+
+
+def _residuals(f, points):
+    """x_{i+1} - f(x_i) over consecutive points, f read through its kernel;
+    a refusal is the one ``apply`` or the value subtraction gave."""
+    for x, x1 in zip(points, points[1:]):
+        fx = _kernel(f, x)(*_window(x))
+        if type(x1) is type(x) and x1.prime == x.prime:
+            yield _value(x, *_window_addsub(x.prime, *_window(x1), *fx, -1))
+        else:  # the subtraction refuses it
+            yield x1 - _value(x, *fx)
 
 
 def _random_digits(rng, p: int, n: int) -> int:
@@ -164,11 +192,6 @@ def _random_digits(rng, p: int, n: int) -> int:
     return value
 
 
-def _random_zp_residual(rng, p: int, precision: int, delta_exp: int) -> ZpApprox:
-    zeros = min(max(delta_exp, 0), precision)
-    return ZpApprox._of(p, precision, _random_digits(rng, p, precision - zeros) * p**zeros)
-
-
 def perturb_orbit(map_like, x0, delta_exponent: int, steps: int, seed: int,
                   back: int = 0) -> PseudoOrbit:
     """The pseudo-orbit x_{-back}, ..., x_steps of f through x0.
@@ -181,31 +204,32 @@ def perturb_orbit(map_like, x0, delta_exponent: int, steps: int, seed: int,
     itself, on Q_p without the noise below a point's window, which is not
     recoverable and must not be claimed.
 
-    Deterministic under the seed (mt19937), forward draws first.  Precision
-    decays by the map's digit loss each step; the orbit fails with a
-    precision error rather than fabricate digits when x0 is too short.
+    Deterministic under the seed (mt19937), forward draws first.  Steps read
+    the map's kernel and build only the values returned.  Precision decays by
+    the map's digit loss each step; the orbit fails with a precision error
+    rather than fabricate digits when x0 is too short.
     """
     if back < 0 or steps < 0:
         raise ValueError(f"step counts must be >= 0, got back={back}, steps={steps}")
     rng = random.Random(seed)
     p = x0.prime
-    if isinstance(x0, ZpApprox):
-        draw = lambda fx: _random_zp_residual(rng, p, fx.precision, delta_exponent)
+    if isinstance(x0, ZpApprox):  # digits below delta_exponent are zeros
+        zeros = lambda n: min(max(delta_exponent, 0), n)
+        draw = lambda v, n, X: (0, n, _random_digits(rng, p, n - zeros(n)) * p**zeros(n))
     else:
-        draw = lambda fx: QpApprox._of(p, delta_exponent, x0.width,
-                                       _random_digits(rng, p, x0.width))
+        draw = lambda v, n, X: (delta_exponent, x0.width, _random_digits(rng, p, x0.width))
     points, residuals = [x0], []
     for _ in range(steps):
-        fx = map_like.apply(points[-1])
-        x = fx + draw(fx)
-        points.append(x)
-        residuals.append(x - fx)
+        fx = _kernel(map_like, points[-1])(*_window(points[-1]))
+        x = _window_addsub(p, *fx, *draw(*fx), 1)
+        points.append(_value(x0, *x))
+        residuals.append(_value(x0, *_window_addsub(p, *x, *fx, -1)))
     inv = map_like.inverse_spec() if back else None
     for _ in range(back):
-        x = points[0]
-        prev = inv.apply(x - draw(x))
+        x = _window(points[0])
+        prev = _value(x0, *_kernel(inv, points[0])(*_window_addsub(p, *x, *draw(*x), -1)))
+        residuals.insert(0, next(_residuals(map_like, (prev, points[0]))))
         points.insert(0, prev)
-        residuals.insert(0, x - map_like.apply(prev))
     return PseudoOrbit(points, residuals, -back)
 
 
@@ -240,31 +264,23 @@ def _certified(f, f_inv, point, orbit: PseudoOrbit, bound: int, solver: str,
     """The one check every shadow result passes: d(x_n, f^n(point)) for each
     index n of the orbit, forward through ``f`` for n = 0..end_index and
     backward through ``f_inv`` for n = -1..start_index (a one-sided orbit
-    never reads it), each against p^-bound as it is computed.  A Z_p point
-    walks through ``apply``, a Q_p point through the maps' digit-window
-    kernel ``output_window``.
+    never reads it), each against p^-bound as it is computed.  The point
+    walks as a digit window through the maps' kernels, see :func:`_kernel`.
 
     Raises ``error`` at the first distance certifiably above p^-bound, before
     any later step is evaluated; a ``PadicError`` is marked internal.
     """
-    p = orbit.prime
-    if isinstance(point, QpApprox):
-        if f.prime != p:
-            raise PrimeMismatch(f"primes {p} and {f.prime}")
-        start = (point.valuation_offset, point.width, point.value)
-        step = lambda g: lambda w: g.output_window(*w)
-        dist = lambda x, w: _window_norm(p, *_window_addsub(
-            p, x.valuation_offset, x.width, x.value, *w, -1))
-    else:
-        start, step, dist = point, (lambda g: g.apply), distance
+    p, q, points, start = orbit.prime, point.prime, orbit.points, orbit.start_index
     dists = {}
-    for g, steps in ((f, range(orbit.end_index + 1)),
-                     (f_inv, range(-1, orbit.start_index - 1, -1))):
-        cur, apply = start, step(g) if steps else None
+    for g, steps in ((f, range(orbit.end_index + 1)), (f_inv, range(-1, start - 1, -1))):
+        cur, apply = _window(point), _kernel(g, point) if steps else None
         for n in steps:
             if n:
-                cur = apply(cur)
-            d = dists[n] = dist(orbit.point(n), cur)
+                cur = apply(*cur)
+            x = points[n - start]
+            if x.prime != q:
+                raise PrimeMismatch(f"primes {x.prime} and {q}")
+            d = dists[n] = _window_norm(p, *_window_addsub(p, *_window(x), *cur, -1))
             if d.gt_pow(bound):
                 internal = "internal: " if error is PadicError else ""
                 raise error(f"{internal}{solver} shadow violates {p}^-{bound} "
@@ -511,8 +527,7 @@ def shadow_dilatation(g: MapSpec, orbit: PseudoOrbit, *,
     eps_exp = orbit.certified_delta.exponent
     fwd_last = orbit.end_index
     # the sweep runs on digit windows (v, n, X), norms as exponents
-    xs = [(x.valuation_offset, x.width, x.value)
-          for x in map(orbit.point, range(fwd_last + 1))]
+    xs = [_window(x) for x in orbit.points[-orbit.start_index:]]
     width = max(x.width for x in orbit.points)
     ys = [(eps_exp, width, 0)] * (fwd_last + 1)
     moved = [True] * (fwd_last + 1)  # entry n changed in the last sweep

@@ -24,7 +24,6 @@ from padicdyn.maps import (
     Prime,
     Rmap,
     ShiftPower,
-    TableMap,
     Tj,
     iterate,
     random_table,
@@ -219,9 +218,8 @@ def test_verify_scaling_work_is_pinned(monkeypatch):
     rng = random.Random(12)
     for p, k, m, N in ((2, 2, 1, 8), (3, 1, 1, 5), (2, 3, 2, 9), (5, 2, 1, 5)):
         t = random_table(rng, p, ScalingClass(k, m), 6)
-        for f in (t, TableMap(t)):
-            assert verify_scaling(f, t.klass, N).verified
-            assert not verify_scaling(f, ScalingClass(k + (m == k), m + 1), N).verified
+        assert verify_scaling(t, t.klass, N).verified
+        assert not verify_scaling(t, ScalingClass(k + (m == k), m + 1), N).verified
     assert not calls
     with pytest.raises(DepthExhausted, match="before the first digit"):
         verify_scaling(DigitFunctionTable(2, ScalingClass(1, 1), ()), ScalingClass(1, 1), 4)
@@ -237,11 +235,9 @@ def test_stratified_refusals_and_witness_are_kept():
         verify_scaling(affq, ScalingClass(1, 1), 9)
     assert str(exc.value) == "domain mismatch: AffineQp acts on qp, got ZpApprox"
     for klass in (ScalingClass(1, 1), ScalingClass(2, 1)):
-        table = DigitFunctionTable(p2, klass, ())
-        for f in (table, TableMap(table)):
-            with pytest.raises(DepthExhausted) as exc:
-                verify_scaling(f, ScalingClass(1, 1), 13)
-            assert str(exc.value) == "table depth exhausted before the first digit"
+        with pytest.raises(DepthExhausted) as exc:
+            verify_scaling(DigitFunctionTable(p2, klass, ()), ScalingClass(1, 1), 13)
+        assert str(exc.value) == "table depth exhausted before the first digit"
     report = verify_scaling(Tj(p2, 1, 2), ScalingClass(2, 1), 13)
     assert (report.verified, report.pairs_checked, report.mode) == (False, 1, "stratified")
     assert report.witness == ((1, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1),

@@ -309,7 +309,7 @@ def test_images_match_apply(p, data):
     na, nb = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     affine = AffineZp(ZpApprox.from_int(draw(st.integers(0, p**na)), p, na),
                       ZpApprox.from_int(draw(st.integers(0, p**nb)), p, nb))
-    for f in (table, TableMap(table), Tj(prime, klass.m, draw(st.integers(0, 3))),
+    for f in (table, Tj(prime, klass.m, draw(st.integers(0, 3))),
               Rmap(prime, klass.m), affine):
         ys = _images_outcome(lambda: [f.apply(ZpApprox._of(prime, n, x)) for x in range(p**n)])
         want = ys if isinstance(ys, tuple) else ([y.value for y in ys],
@@ -352,7 +352,7 @@ def _kernel_specs(draw, prime):
             AffineZp(zp(draw(st.integers(1, 3))), zp(0)),
             AffineZp(zp(None), zp(draw(st.integers(0, 2)))),
             ga(-draw(st.integers(1, 3))), ga(0), ga(draw(st.integers(1, 3))),
-            Substitution(prime, rules), TableMap(table),
+            Substitution(prime, rules), table,
             MahlerMap(MahlerSeries(prime, coefficients))]
 
 
@@ -553,11 +553,11 @@ def test_iterate_table_matches_double_eval_exhaustive():
 
 
 def test_every_map_answers_to_prime_and_apply():
-    # a table, its one-fold iterate, its spec wrapper and the classical spec
-    # are four views of one map: the same prime and the same output digits
+    # a table, its one-fold iterate and the classical spec are three views
+    # of one map: the same prime and the same output digits
     for spec in (ShiftPower(Prime(3), 1), Tj(Prime(2), 1, 2)):
         table = table_from_spec(spec)
-        views = (table, iterate_table(table, 1, 6), TableMap(table), spec)
+        views = (table, iterate_table(table, 1, 6), spec)
         assert {v.prime for v in views} == {spec.prime}
         p = int(spec.prime)
         for idx in range(p**5):

@@ -108,8 +108,8 @@ def test_one_generator_forward_and_back():
     orbit = perturb_orbit(table, ZpApprox.from_int(0b1011011101101, 2, 16), 2, 6, 21)
     rng = random.Random(21)
     for x, w in zip(orbit.points, orbit.residuals):
-        drawn = shadowing._random_zp_residual(rng, 2, table.apply(x).precision, 2)
-        assert w == drawn
+        n = table.apply(x).precision  # digits 0 and 1 are zeros, the rest drawn
+        assert w == ZpApprox._of(Prime(2), n, shadowing._random_digits(rng, 2, n - 2) * 4)
     # going back needs the map's exact inverse; a table map, p^m-to-one,
     # never has one
     for f in (ShiftPower(Prime(2), 1), table):
@@ -639,12 +639,12 @@ def test_certificate_walk_checks_forward_steps(monkeypatch):
         shadow_locally_scaling(table, orbit, s=1)
     assert exc.type is PadicError
 
-    class Counting:
+    class Counting(MapSpec):
         prime, calls = Prime(2), 0
 
-        def apply(self, x):
+        def output_value(self, x, n):
             Counting.calls += 1
-            return sub.apply(x)
+            return sub.output_value(x, n)
 
     sub = Substitution(Prime(2), ((0, 1), (0,)))
     orbit = perturb_orbit(sub, ZpApprox.from_int(0b1101, 2, 12), 3, 5, seed=1)
@@ -692,8 +692,10 @@ def test_q_p_walk_refuses_what_apply_refused():
             shadow_lipschitz(f, perturb_orbit(g3, x0, 2, 3, 1), certification="given")
 
 
-class _Rewired:
+class _Rewired(MapSpec):
     """``base`` with a stated expansion exponent or a replaced inverse."""
+
+    domain = "qp"
 
     def __init__(self, base, *, k=None, inverse=None):
         self.base, self.k, self.inverse, self.prime = base, k, inverse, base.prime
