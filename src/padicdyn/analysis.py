@@ -23,9 +23,8 @@ conjugacy-class counting argument.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .core import PadicError, PNorm, PrecisionError, ZpApprox, _val, distance
+from .core import PadicError, PNorm, PrecisionError, ZpApprox, _val, distance, record
 from .maps import (
     DepthExhausted,
     ScalingClass,
@@ -36,7 +35,7 @@ from .maps import (
 from .shadowing import _solve_next_digit
 
 
-@dataclass(frozen=True)
+@record
 class ScalingReport:
     klass: ScalingClass
     verified: bool
@@ -167,7 +166,7 @@ def verify_scaling(map_like, klass: ScalingClass, precision: int, *,
     return ScalingReport(klass, True, None, pairs, mode)
 
 
-@dataclass(frozen=True)
+@record
 class ExpansivityReport:
     expansivity_exponent: int
     horizon: int
@@ -267,7 +266,7 @@ def expansivity_check(map_like, expansivity_exponent: int, horizon: int,
     )
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointReport:
     map_id: str
     iterate_n: int

@@ -30,8 +30,6 @@ recomputable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     PadicError,
     PNorm,
@@ -46,9 +44,11 @@ from .core import (
     _window_mul,
     distance,
     encode_value,
+    factory,
     inverse_unit,
     mod_zp,
     pnorm_max,
+    record,
 )
 from .maps import DigitFunctionTable, MapSpec, table_sup_distance_exponent
 from .shadowing import (
@@ -61,7 +61,7 @@ from .shadowing import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ConjugacyMap:
     """A computable conjugation h with verification metadata.
 
@@ -74,7 +74,7 @@ class ConjugacyMap:
     tag: str
     inverse: object = None
     isometry: str = "not-claimed"
-    details: dict = field(default_factory=dict)
+    details: dict = factory(dict)
 
     def __call__(self, x):
         return self.forward(x)
@@ -444,7 +444,7 @@ def qp_affine_conjugacy_map(g: MapSpec, horizon: int) -> ConjugacyMap:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ConjugacyReport:
     samples_checked: int
     semiconjugacy_ok: bool

@@ -22,7 +22,9 @@ All value types are immutable; operations are pure functions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
+from reprlib import recursive_repr
 
 
 class PadicError(Exception):
@@ -39,6 +41,64 @@ class PrecisionError(PadicError):
 
 class ZeroAtPrecision(PadicError):
     """A value indistinguishable from zero was used where a unit is needed."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a frozen :func:`record` was assigned or deleted."""
+
+
+class factory(partial):
+    """A :func:`record` field default made afresh for each instance: ``factory(dict)``."""
+
+
+def record(cls):
+    """Make ``cls`` a frozen record of its own annotated fields, with the
+    methods ``dataclass(frozen=True)`` generates, built without compiling
+    code.  A class's own ``__init__`` and ``__slots__`` are kept."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    slots = cls.__dict__.get("__slots__", ())  # a slot's descriptor is no default
+    makers = {name: d if type(d) is factory else (lambda d=d: d)
+              for name, d in cls.__dict__.items() if name in names and name not in slots}
+    post_init = hasattr(cls, "__post_init__")
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+
+    def bind(args, kwargs):  # keywords and defaults; every field once
+        given = dict(zip(names, args), **kwargs)
+        if len(given) < len(args) + len(kwargs) or given.keys() | makers.keys() != set(names):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}")
+        return [given[name] if name in given else makers[name]() for name in names]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return fields(self) == fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    @recursive_repr()
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __setattr__(self, name, *value):  # and __delattr__, without a value
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    def __setstate__(self, state):  # pickle and copy restore slots from (None, slots)
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    cls.__init__ = cls.__dict__.get("__init__", __init__)
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, lambda self: hash(fields(self)), __repr__
+    cls.__setattr__ = cls.__delattr__ = __setattr__
+    cls.__match_args__ = names
+    if slots:
+        cls.__setstate__ = __setstate__
+    return cls
 
 
 # Miller-Rabin to these bases is exact below _MR_LIMIT (Sorenson-Webster 2015)
@@ -74,7 +134,7 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PNorm:
     """A p-adic norm or distance, exact or bounded.
 
@@ -83,8 +143,13 @@ class PNorm:
     end is known).  A bound never compares equal to an exact value.
     """
 
+    __slots__ = ("exponent", "exact")
     exponent: int
-    exact: bool = True
+    exact: bool
+
+    def __init__(self, exponent: int, exact: bool = True) -> None:
+        _pn_exponent(self, exponent)  # a norm is built for every distance: two slot writes
+        _pn_exact(self, exact)
 
     def leq_pow(self, e: int) -> bool:
         """Certified ``value <= p^-e``.  Holds for exact values and bounds alike."""
@@ -229,7 +294,7 @@ def _same_prime(x, y) -> Prime:
     return x.prime
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class ZpApprox:
     """An element of Z_p known modulo p^N, stored as the residue ``value``.
 
@@ -240,6 +305,7 @@ class ZpApprox:
     p-1.
     """
 
+    __slots__ = ("prime", "precision", "value")
     prime: Prime
     precision: int
     value: int
@@ -305,7 +371,7 @@ class ZpApprox:
         return encode_value(self)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class QpApprox:
     """An element p^v X of Q_p known on the digit window [v, v+N).
 
@@ -318,6 +384,7 @@ class QpApprox:
     window start forward past leading zeros.
     """
 
+    __slots__ = ("prime", "valuation_offset", "width", "value")
     prime: Prime
     valuation_offset: int
     width: int
@@ -405,7 +472,8 @@ class QpApprox:
         return encode_value(self)
 
 
-# a slots dataclass lists its fields in __slots__ in declaration order
+# a slotted record lists its fields in __slots__ in declaration order
+_pn_exponent, _pn_exact = (PNorm.__dict__[name].__set__ for name in PNorm.__slots__)
 _zp_prime, _zp_precision, _zp_value = (
     ZpApprox.__dict__[name].__set__ for name in ZpApprox.__slots__)
 _qp_prime, _qp_offset, _qp_width, _qp_value = (

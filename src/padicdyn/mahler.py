@@ -17,15 +17,15 @@ to certify the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import PNorm, PrecisionError, Prime, ZpApprox, inverse_unit, mod_zp
+from .core import PNorm, PrecisionError, Prime, ZpApprox, inverse_unit, mod_zp, record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MahlerSeries:
     """A truncated Mahler expansion: coefficients a_0..a_M as Z_p values."""
 
+    __slots__ = ("prime", "coefficients")
     prime: Prime
     coefficients: tuple
 
@@ -117,16 +117,18 @@ def mahler_eval(series: MahlerSeries, x: ZpApprox) -> ZpApprox:
     return total
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LipschitzEntry:
+    __slots__ = ("n", "norm", "bound_exponent", "status")
     n: int
     norm: PNorm
     bound_exponent: int
     status: str  # "ok" | "violation" | "undecided"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OneLipschitzReport:
+    __slots__ = ("entries", "passed", "first_violation", "undecided")
     entries: tuple
     passed: bool
     first_violation: int | None

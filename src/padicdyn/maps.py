@@ -29,7 +29,6 @@ determines.  Each spec class states the facts its definition proves (see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .core import (
@@ -49,6 +48,7 @@ from .core import (
     encode_value,
     inverse_unit,
     parse_value,
+    record,
 )
 from .mahler import (MahlerSeries, legendre_valuation, mahler_eval, one_lipschitz_report,
                      series_from_values)
@@ -99,10 +99,11 @@ def _check_budget(entries: int, what: str) -> None:
             f"{what} would enumerate {entries} entries, over the budget of {ENTRY_BUDGET}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ScalingClass:
     """The pair (k, m) of a (p^-k, p^m) locally scaling map, with l = k - m."""
 
+    __slots__ = ("k", "m")
     k: int
     m: int
 
@@ -207,7 +208,7 @@ class MapSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class DigitFunctionTable(MapSpec):
     """Dense digit-function tables for a (p^-k, p^m) locally scaling map.
 
@@ -238,7 +239,7 @@ class DigitFunctionTable(MapSpec):
     """
 
     prime: Prime
-    klass: ScalingClass = field()  # else MapSpec.klass = None would be its default
+    klass: ScalingClass
     tables: tuple
     tail_projection: bool = False
 
@@ -437,7 +438,7 @@ def table_sup_distance_exponent(f: DigitFunctionTable, g: DigitFunctionTable,
     return None
 
 
-@dataclass(frozen=True)
+@record
 class ShiftPower(MapSpec):
     """S^m: drop the lowest m digits."""
 
@@ -468,7 +469,7 @@ class ShiftPower(MapSpec):
         return {"type": "shift_power", "p": int(self.prime), "m": self.m}
 
 
-@dataclass(frozen=True)
+@record
 class Tj(MapSpec):
     """T_j: keep digits 0..j-1, then continue from digit m+j.
 
@@ -510,7 +511,7 @@ class Tj(MapSpec):
         return {"type": "tj", "p": int(self.prime), "m": self.m, "j": self.j}
 
 
-@dataclass(frozen=True)
+@record
 class Rmap(MapSpec):
     """S^m on inputs with x_0 != p-1, T_1 on inputs with x_0 = p-1.
 
@@ -556,7 +557,7 @@ class Rmap(MapSpec):
         return {"type": "r_map", "p": int(self.prime), "m": self.m}
 
 
-@dataclass(frozen=True)
+@record
 class AffineZp(MapSpec):
     """z -> a z + b on Z_p; always 1-Lipschitz."""
 
@@ -596,7 +597,7 @@ class AffineZp(MapSpec):
         }
 
 
-@dataclass(frozen=True)
+@record
 class AffineQp(MapSpec):
     """z -> a z + b on Q_p, a homeomorphism for a != 0."""
 
@@ -646,7 +647,7 @@ class AffineQp(MapSpec):
         }
 
 
-@dataclass(frozen=True)
+@record
 class GaModZp(MapSpec):
     """z -> (a z) mod Z_p on Z_p, for a in Q_p.
 
@@ -692,7 +693,7 @@ class GaModZp(MapSpec):
         return {"type": "ga_mod_zp", "p": int(self.prime), "a": encode_value(self.a)}
 
 
-@dataclass(frozen=True)
+@record
 class Substitution(MapSpec):
     """Digitwise concatenation map from letter-to-word rules; 1-Lipschitz by
     construction since a prefix of the input determines a prefix of the output."""
@@ -730,7 +731,7 @@ class Substitution(MapSpec):
                 "rules": [list(w) for w in self.rules]}
 
 
-@dataclass(frozen=True)
+@record
 class MahlerMap(MapSpec):
     """A map given by a truncated Mahler series."""
 
@@ -768,7 +769,7 @@ class MahlerMap(MapSpec):
         }
 
 
-@dataclass(frozen=True)
+@record
 class Compose(MapSpec):
     """Apply ``parts`` in listed order: Compose([f, g]) maps x to g(f(x))."""
 
@@ -927,72 +928,37 @@ def mahler_coefficients(spec: MapSpec, terms: int, precision: int) -> MahlerSeri
     return series_from_values(p, values, precision)
 
 
-_SPEC_TYPES = {}
+def _int(value, what: str) -> int:
+    """A JSON integer, refused otherwise: int() would truncate 1.5 and read true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
-def _register(name):
-    def deco(builder):
-        _SPEC_TYPES[name] = builder
-        return builder
-
-    return deco
+def _digit_rows(rows) -> tuple:
+    return tuple(tuple(_int(c, "a digit") for c in row) for row in rows)
 
 
-@_register("shift_power")
-def _build_shift(d):
-    return ShiftPower(Prime(d["p"]), int(d["m"]))
+def _prime(d: dict) -> Prime:
+    return Prime(_int(d["p"], "p"))
 
 
-@_register("tj")
-def _build_tj(d):
-    return Tj(Prime(d["p"]), int(d["m"]), int(d["j"]))
-
-
-@_register("r_map")
-def _build_rmap(d):
-    return Rmap(Prime(d["p"]), int(d["m"]))
-
-
-@_register("affine_zp")
-def _build_affine_zp(d):
-    return AffineZp(parse_value(d["a"], "zp"), parse_value(d["b"], "zp"))
-
-
-@_register("affine_qp")
-def _build_affine_qp(d):
-    return AffineQp(parse_value(d["a"], "qp"), parse_value(d["b"], "qp"))
-
-
-@_register("ga_mod_zp")
-def _build_ga(d):
-    return GaModZp(parse_value(d["a"], "qp"))
-
-
-@_register("substitution")
-def _build_subst(d):
-    return Substitution(Prime(d["p"]), tuple(tuple(w) for w in d["rules"]))
-
-
-@_register("table")
-def _build_table(d):
-    return DigitFunctionTable(
-        Prime(d["p"]),
-        ScalingClass(int(d["k"]), int(d["m"])),
-        tuple(tuple(t) for t in d["tables"]),
-        tail_projection=bool(d.get("tail_projection", False)),
-    )
-
-
-@_register("mahler")
-def _build_mahler(d):
-    p = Prime(d["p"])
-    coeffs = tuple(parse_value(a, "zp") for a in d["coefficients"])
-    return MahlerMap(MahlerSeries(p, coeffs))
-
-
-@_register("compose")
-def _build_compose(d):
-    return Compose(tuple(spec_from_dict(part) for part in d["parts"]))
+# each spec type reads its fields; the classes check what their values mean
+_SPEC_TYPES = {
+    "shift_power": lambda d: ShiftPower(_prime(d), _int(d["m"], "m")),
+    "tj": lambda d: Tj(_prime(d), _int(d["m"], "m"), _int(d["j"], "j")),
+    "r_map": lambda d: Rmap(_prime(d), _int(d["m"], "m")),
+    "affine_zp": lambda d: AffineZp(parse_value(d["a"], "zp"), parse_value(d["b"], "zp")),
+    "affine_qp": lambda d: AffineQp(parse_value(d["a"], "qp"), parse_value(d["b"], "qp")),
+    "ga_mod_zp": lambda d: GaModZp(parse_value(d["a"], "qp")),
+    "substitution": lambda d: Substitution(_prime(d), _digit_rows(d["rules"])),
+    "table": lambda d: DigitFunctionTable(
+        _prime(d), ScalingClass(_int(d["k"], "k"), _int(d["m"], "m")),
+        _digit_rows(d["tables"]), tail_projection=bool(d.get("tail_projection", False))),
+    "mahler": lambda d: MahlerMap(MahlerSeries(
+        _prime(d), tuple(parse_value(a, "zp") for a in d["coefficients"]))),
+    "compose": lambda d: Compose(tuple(spec_from_dict(part) for part in d["parts"])),
+}
 
 
 def spec_from_dict(d: dict) -> MapSpec:

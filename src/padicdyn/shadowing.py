@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from functools import partial
 
 from .core import (
@@ -73,9 +72,11 @@ from .core import (
     _window_norm,
     distance,
     encode_value,
+    factory,
     inverse_unit,
     parse_value,
     pnorm_max,
+    record,
 )
 from .maps import AffineQp, CertificationError, DigitFunctionTable, MapSpec
 
@@ -90,7 +91,7 @@ class ConstraintUnsolvable(PadicError):
         super().__init__(f"step {step}, output digit {digit_index}: {reason}")
 
 
-@dataclass(frozen=True)
+@record
 class PseudoOrbit:
     """A finite pseudo-orbit with exact residuals.
 
@@ -239,7 +240,7 @@ def perturb_orbit_two_sided(spec: MapSpec, x0: QpApprox, delta_exponent: int,
     return perturb_orbit(spec, x0, delta_exponent, forward, seed, back)
 
 
-@dataclass(frozen=True)
+@record
 class ShadowResult:
     """A shadow point with its certification.
 
@@ -252,7 +253,7 @@ class ShadowResult:
     step_distances: tuple
     start_index: int
     solver: str
-    details: dict = field(default_factory=dict)
+    details: dict = factory(dict)
 
     @property
     def horizon(self) -> int:

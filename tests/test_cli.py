@@ -296,6 +296,25 @@ def test_exit_codes(specs, capsys, tmp_path):
         bad.write_text(text)
         assert main(["validate", "--map", str(bad)]) == 2, text
         capsys.readouterr()
+    # parse error: a JSON float or boolean for p, m, j or k, and a digit that is
+    # not an integer in a table entry or a substitution rule
+    table = json.loads(dumps_spec(TableMap(random_table(random.Random(1), 2, ScalingClass(1, 1), 4))))
+    table["tables"][0][0] = 1.5
+    for text in ('{"type":"shift_power","p":1e400,"m":1}',
+                 '{"type":"shift_power","p":2,"m":1e400}',
+                 '{"type":"shift_power","p":2,"m":1.5}',
+                 '{"type":"shift_power","p":2,"m":true}',
+                 '{"type":"r_map","p":true,"m":1}',
+                 '{"type":"tj","p":2.0,"m":1,"j":1}',
+                 '{"type":"tj","p":2,"m":1,"j":1.5}',
+                 json.dumps(dict(table, k=1.5)),
+                 json.dumps(dict(table, k=True)),
+                 json.dumps(table),
+                 '{"type":"substitution","p":2,"rules":[[0],[0,1.5]]}'):
+        bad.write_text(text)
+        for command in ("fixed-points", "validate", "mahler"):
+            assert main([command, "--map", str(bad)]) == 2, (command, text)
+            assert "cannot parse map spec" in capsys.readouterr().err, (command, text)
     # parse error: parts or coefficients over different primes
     for text in ('{"type":"compose","parts":[{"type":"shift_power","p":2,"m":1},'
                  '{"type":"shift_power","p":3,"m":1}]}',
