@@ -29,6 +29,7 @@ from .maps import (
     DepthExhausted,
     ScalingClass,
     _check_budget,
+    _check_power,
     _decode,
     table_from_spec,
 )
@@ -318,7 +319,7 @@ def periodic_points(map_like, n: int, *, precision: int = 12) -> FixedPointRepor
     m, l = table.klass.m, table.klass.l
     K = n * m + l
     # each seed costs n kernel calls plus up to ``precision`` solve steps
-    _check_budget(p**K * (n + precision), f"the seeds of period {n}")
+    _check_power(p, K, f"the seeds of period {n}", n + precision)
     seeds = []
     points = []
     head = p**l

@@ -45,13 +45,10 @@ from .core import (
     parse_value,
 )
 from .maps import (
-    AffineQp,
     BijectivityViolation,
     DepthExhausted,
     InconsistentScaling,
     MapSpec,
-    ShiftPower,
-    AffineZp,
     extract_table,
     load_spec,
     mahler_coefficients,
@@ -232,11 +229,7 @@ def cmd_conjugate(args) -> dict:
         points = _sample_points(spec, args.samples, args.precision, args.seed or 0)
     constructor = args.constructor
     if constructor == "to-shift":
-        table = table_from_spec(spec, depth=args.depth)
-        if table.klass.m != table.klass.k:
-            raise PrecisionError("to-shift needs a class (k,k) map")
-        cm = shift_conjugacy(table)
-        f_map, g_map = ShiftPower(spec.prime, table.klass.k), table
+        cm = shift_conjugacy(table_from_spec(spec, depth=args.depth))
     elif constructor == "nearby":
         if not args.other:
             raise _ParseFailure("--other is required for the nearby constructor")
@@ -247,35 +240,16 @@ def cmd_conjugate(args) -> dict:
         for x in points:
             check_horizon_digits(f_t.klass, args.horizon, args.s, x)
         cm = nearby_conjugacy(f_t, g_t, args.horizon, args.s)
-        f_map, g_map = f_t, g_t
     elif constructor == "affine-shell":
         if not args.a:
             raise _ParseFailure("--a is required for the affine-shell constructor")
-        a = parse_value(args.a, "zp")
-        cm = affine_shell_conjugacy_map(a, spec)
-
-        class _Perturbed(MapSpec):
-            prime = spec.prime
-
-            def apply(self, z):
-                az = a if a.precision <= z.precision else a.truncate(z.precision)
-                return az * z + spec.apply(z)
-
-        # h conjugates the pure contraction to the perturbed map: h f = g h,
-        # so the perturbed map is the verification target
-        f_map = _Perturbed()
-        g_map = AffineZp(a, ZpApprox.from_int(0, spec.prime, a.precision))
+        cm = affine_shell_conjugacy_map(parse_value(args.a, "zp"), spec)
     elif constructor == "qp-affine":
         cm = qp_affine_conjugacy_map(spec, args.horizon)
-        k = cm.details["dilation_exponent"]
-        width = spec.affine()[0].width
-        f_map = AffineQp(
-            QpApprox(spec.prime, -k, (1,) + (0,) * (width - 1)),
-            QpApprox(spec.prime, max(4 * abs(k), 16), (0,) * width))
-        g_map = spec
     else:
         raise _ParseFailure(f"unknown constructor {constructor}")
-    report = verify_conjugacy(cm, f_map, g_map, points)
+    # each constructor states the pair it conjugates: f∘h = h∘g
+    report = verify_conjugacy(cm, cm.f, cm.g, points)
     out = {
         "command": "conjugate",
         "map": args.map,

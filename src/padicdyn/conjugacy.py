@@ -1,7 +1,7 @@
 """Constructive topological conjugacies on Z_p and Q_p.
 
 Four constructions, each returning a :class:`ConjugacyMap` whose claims are
-recomputable:
+recomputable, with the pair f, g it conjugates (f∘h = h∘g):
 
 * ``shift_conjugacy`` -- for a (p^-k, p^k) map f, the isometry h onto S^k:
   digit qk+r of h(x) is digit r of f^q(x).  Since digit j of h(x) depends
@@ -34,6 +34,7 @@ from .core import (
     PadicError,
     PNorm,
     PrecisionError,
+    Prime,
     PrimeMismatch,
     QpApprox,
     ZeroAtPrecision,
@@ -50,7 +51,8 @@ from .core import (
     pnorm_max,
     record,
 )
-from .maps import DigitFunctionTable, MapSpec, table_sup_distance_exponent
+from .maps import (AffineQp, AffineZp, DigitFunctionTable, MapSpec, ShiftPower,
+                   table_sup_distance_exponent)
 from .shadowing import (
     CertificationError,
     PseudoOrbit,
@@ -63,8 +65,12 @@ from .shadowing import (
 
 @record
 class ConjugacyMap:
-    """A computable conjugation h with verification metadata.
-
+    """A computable conjugation h, the pair f, g it conjugates (f∘h = h∘g,
+    checked by ``verify_conjugacy(cm, cm.f, cm.g, points)``; None where not
+    stated) and verification metadata.  f, g are S^k and the class-(k,k)
+    table for ``shift_conjugacy``, the two tables for ``nearby_conjugacy``,
+    :class:`Perturbed` and z -> az for ``affine_shell_conjugacy_map``, and
+    z -> p^-k z and the map for ``qp_affine_conjugacy_map``.
     ``isometry`` is one of "proven-by-construction", "sample-verified(n)"
     or "not-claimed"; ``details`` records the construction's certificates
     (hypothesis exponents, recorded translations, horizons).
@@ -75,6 +81,8 @@ class ConjugacyMap:
     inverse: object = None
     isometry: str = "not-claimed"
     details: dict = factory(dict)
+    f: object = None
+    g: object = None
 
     def __call__(self, x):
         return self.forward(x)
@@ -133,13 +141,18 @@ def invert_shift_conjugacy(table: DigitFunctionTable, y: ZpApprox) -> ZpApprox:
 
 
 def shift_conjugacy(table: DigitFunctionTable) -> ConjugacyMap:
-    """The isometry conjugating a class-(k,k) table map to S^k."""
+    """The isometry conjugating a class-(k,k) table map to S^k; another class
+    is refused when it is built."""
+    k = table.klass.k
+    if table.klass.m != k:
+        raise PrecisionError(f"shift conjugation needs class (k,k), got {table.klass}")
     return ConjugacyMap(
         forward=lambda x: conjugate_to_shift(table, x),
         inverse=lambda y: invert_shift_conjugacy(table, y),
         tag="to-shift-power",
         isometry="proven-by-construction",
-        details={"k": table.klass.k},
+        details={"k": k},
+        f=ShiftPower(table.prime, k), g=table,
     )
 
 
@@ -198,6 +211,7 @@ def nearby_conjugacy(f_table: DigitFunctionTable, g_table: DigitFunctionTable,
         isometry="not-claimed",
         details={"horizon": horizon, "s": s,
                  "sup_distance_exponent": i0, "delta_exponent": delta_exp},
+        f=f_table, g=g_table,
     )
 
 
@@ -233,6 +247,50 @@ def _limit(step, z, steps: int):
             return z
         z = nxt
     raise CertificationError(f"contraction iteration did not settle in {steps} steps")
+
+
+@record
+class Perturbed(MapSpec):
+    """z -> a z + psi(z) on Z_p, with a first truncated to z's precision:
+    the map an affine-shell conjugacy carries z -> a z to."""
+
+    a: ZpApprox
+    psi: MapSpec
+
+    @property
+    def prime(self) -> Prime:
+        return self.a.prime
+
+    def output_value(self, x: int, n: int) -> tuple:
+        # ZpApprox's a * z + psi(z): a factor of valuation v adds v digits
+        p, a = self.prime, self.a
+        A, na = (a.value, a.precision) if a.precision <= n else (a.value % p**n, n)
+        y, m = self.psi.output_value(x, n)
+        m = min(_val(A, p, na) + n, _val(x, p, n) + na, m)
+        return (A * x + y) % p**m, m
+
+
+@record
+class Normalized(MapSpec):
+    """u -> psi(u + z) - psi(z) on Z_p, with z first truncated to u's
+    precision: psi moved to the fixed point z, where it vanishes."""
+
+    psi: MapSpec
+    z: ZpApprox
+
+    @property
+    def prime(self) -> Prime:
+        return self.z.prime
+
+    def output_value(self, x: int, n: int) -> tuple:
+        p, z = self.prime, self.z
+        Z, nz = (z.value, z.precision) if z.precision <= n else (z.value % p**n, n)
+        y, m = self.psi.output_value((x + Z) % p**nz, nz)  # u + z, known to nz <= n digits
+        w, k = self.psi.output_value(Z, nz)
+        return (y - w) % p**min(m, k), min(m, k)
+
+    def min_input_precision(self, n_out: int) -> int:
+        return self.psi.min_input_precision(n_out)
 
 
 def affine_shell_conjugacy(a: ZpApprox, psi: MapSpec, z: ZpApprox) -> ZpApprox:
@@ -291,20 +349,9 @@ def affine_shell_conjugacy_map(a: ZpApprox, psi: MapSpec, *,
     psi_eff = psi
     if psi0.value:
         # the fixed point of z -> a z + psi(z), a contraction by ||a||
-        translation = z_g = _limit(lambda z: a * z + psi.apply(z),
-                                   ZpApprox.from_int(0, p, work), work + 2)
-
-        class _Normalized(MapSpec):
-            prime = p
-
-            def apply(self, u):
-                zg = z_g if z_g.precision <= u.precision else z_g.truncate(u.precision)
-                return psi.apply(u + zg) - psi.apply(zg)
-
-            def min_input_precision(self, n_out):
-                return psi.min_input_precision(n_out)
-
-        psi_eff = _Normalized()
+        translation = _limit(lambda z: a * z + psi.apply(z),
+                             ZpApprox.from_int(0, p, work), work + 2)
+        psi_eff = Normalized(psi, translation)
 
     # a sum keeps only the digits both terms know: h's precision bounds it
     def forward(z):
@@ -324,6 +371,7 @@ def affine_shell_conjugacy_map(a: ZpApprox, psi: MapSpec, *,
             "lipschitz_certificate": method,
             "translation": None if translation is None else encode_value(translation),
         },
+        f=Perturbed(a, psi), g=AffineZp(a, ZpApprox.from_int(0, p, a.precision)),
     )
 
 
@@ -350,9 +398,9 @@ def _invert_shell(a: ZpApprox, psi: MapSpec, y: ZpApprox) -> ZpApprox:
 
 
 def _qp_affine_h(g: MapSpec, horizon: int):
-    """(k, translation or None, h): the certified exponent (0 refused first),
-    b/(1-a), a^-1 and both steps are computed once; h walks x's orbit on
-    digit windows and builds one value, its result."""
+    """(k, translation or None, h, f = z -> p^-k z): the certified exponent
+    (0 refused first), b/(1-a), a^-1 and both steps are computed once; h walks
+    x's orbit on digit windows and builds one value, its result."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     k = certify_expansion(g)
@@ -410,7 +458,10 @@ def _qp_affine_h(g: MapSpec, horizon: int):
         return QpApprox._of(p, *_window_canonical(
             p, -behind * K, (ahead + behind) * K, backward + forward * q**behind))
 
-    return k, translation, h
+    # z -> p^-k z + 0, both as wide as a, the 0 known on [max(4K, 16), +width):
+    # f(h(x)) keeps every digit of p^-k h(x) below that window's end
+    f = AffineQp(QpApprox._of(p, -k, a.width, 1), QpApprox._of(p, max(4 * K, 16), a.width, 0))
+    return k, translation, h, f
 
 
 def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
@@ -431,7 +482,7 @@ def qp_affine_conjugacy(g: MapSpec, x: QpApprox, horizon: int) -> QpApprox:
 def qp_affine_conjugacy_map(g: MapSpec, horizon: int) -> ConjugacyMap:
     """The isometry conjugating a certified ||a|| != 1 map to f_{1/p^k, 0};
     the map's constants are computed once, not per point."""
-    k, translation, h = _qp_affine_h(g, horizon)
+    k, translation, h, f = _qp_affine_h(g, horizon)
     return ConjugacyMap(
         forward=h,
         tag="qp-affine",
@@ -441,6 +492,7 @@ def qp_affine_conjugacy_map(g: MapSpec, horizon: int) -> ConjugacyMap:
             "horizon": horizon,
             "translation": None if translation is None else encode_value(translation),
         },
+        f=f, g=g,
     )
 
 

@@ -99,6 +99,15 @@ def _check_budget(entries: int, what: str) -> None:
             f"{what} would enumerate {entries} entries, over the budget of {ENTRY_BUDGET}")
 
 
+def _check_power(p: int, e: int, what: str, times: int = 1) -> None:
+    """:func:`_check_budget` on times * p^e entries, refused unbuilt when the
+    exponent alone is over log_2 ENTRY_BUDGET >= log_p ENTRY_BUDGET."""
+    if times and e >= ENTRY_BUDGET.bit_length():  # p^e >= 2^e > ENTRY_BUDGET
+        raise PrecisionError(f"{what} would enumerate at least {p}^{e} entries, "
+                             f"over the budget of {ENTRY_BUDGET}")
+    _check_budget(times * p**e if times else 0, what)
+
+
 @record
 class ScalingClass:
     """The pair (k, m) of a (p^-k, p^m) locally scaling map, with l = k - m."""
@@ -500,7 +509,7 @@ class Tj(MapSpec):
     def structural_table(self) -> DigitFunctionTable:
         # head digit i < j copies input digit i; the tail is the projection
         p, k = self.prime, self.m + self.j
-        _check_budget(self.j * p**k, "the T_j head tables")
+        _check_power(p, k, "the T_j head tables", self.j)
         heads = tuple(tuple(idx // p**i % p for idx in range(p**k)) for i in range(self.j))
         return DigitFunctionTable(p, self.klass, heads, tail_projection=True)
 
@@ -542,7 +551,7 @@ class Rmap(MapSpec):
     def structural_table(self) -> DigitFunctionTable:
         # the one head digit is x_m, or p-1 on the T_1 branch x_0 = p-1
         p, k = self.prime, self.m + 1
-        _check_budget(p**k, "the R head table")
+        _check_power(p, k, "the R head table")
         head = tuple(idx // p**self.m % p if idx % p != p - 1 else p - 1
                      for idx in range(p**k))
         return DigitFunctionTable(p, self.klass, (head,), tail_projection=True)
@@ -935,6 +944,13 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _bool(value, what: str) -> bool:
+    """A JSON boolean, refused otherwise: bool() would read "false" as true."""
+    if type(value) is not bool:
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _digit_rows(rows) -> tuple:
     return tuple(tuple(_int(c, "a digit") for c in row) for row in rows)
 
@@ -954,7 +970,8 @@ _SPEC_TYPES = {
     "substitution": lambda d: Substitution(_prime(d), _digit_rows(d["rules"])),
     "table": lambda d: DigitFunctionTable(
         _prime(d), ScalingClass(_int(d["k"], "k"), _int(d["m"], "m")),
-        _digit_rows(d["tables"]), tail_projection=bool(d.get("tail_projection", False))),
+        _digit_rows(d["tables"]),
+        tail_projection=_bool(d.get("tail_projection", False), "tail_projection")),
     "mahler": lambda d: MahlerMap(MahlerSeries(
         _prime(d), tuple(parse_value(a, "zp") for a in d["coefficients"]))),
     "compose": lambda d: Compose(tuple(spec_from_dict(part) for part in d["parts"])),

@@ -9,7 +9,7 @@ enumeration over ``maps.ENTRY_BUDGET`` residues is refused before it starts.
 from __future__ import annotations
 
 from .core import ZpApprox
-from .maps import _check_budget
+from .maps import _check_power
 
 
 def brute_fixed_point_count(map_like, prime: int, precision: int) -> int:
@@ -27,7 +27,7 @@ def brute_periodic_point_count(map_like, prime: int, n: int, precision: int) -> 
     p = prime
     if precision < 1:
         raise ValueError(f"need precision >= 1, got {precision}")
-    _check_budget(p**precision, "the brute-force periodic-point count")
+    _check_power(p, precision, "the brute-force periodic-point count")
     count = 0
     for xi in range(p**precision):
         y = ZpApprox.from_int(xi, p, precision)
@@ -51,7 +51,7 @@ def brute_shadow_points(map_like, orbit_points, k: int, m: int, s: int,
     want, mod = k + s, p ** (k + s)
     if precision < 1:
         raise ValueError(f"need precision >= 1, got {precision}")
-    _check_budget(p**precision, "the brute-force shadow search")
+    _check_power(p, precision, "the brute-force shadow search")
     # each orbit point's first k+s digits as a residue; a shorter point matches none
     targets = [x.value % mod if x.precision >= want else None for x in orbit_points]
     out = []

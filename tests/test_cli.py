@@ -2,14 +2,22 @@
 
 import hashlib
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import conjugacy_reference as ref
+
+from padicdyn import cli
 from padicdyn.cli import main
-from padicdyn.core import Prime, QpApprox, ZpApprox
+from padicdyn.conjugacy import (affine_shell_conjugacy_map, nearby_conjugacy,
+                                qp_affine_conjugacy_map, shift_conjugacy, verify_conjugacy)
+from padicdyn.core import PrecisionError, Prime, QpApprox, ZpApprox, encode_value, parse_value
 from padicdyn.mahler import MahlerSeries
 from padicdyn.maps import (
     AffineQp,
@@ -27,6 +35,7 @@ from padicdyn.maps import (
     perturb_table,
     random_table,
     save_spec,
+    table_from_spec,
 )
 
 
@@ -299,6 +308,7 @@ def test_exit_codes(specs, capsys, tmp_path):
     # parse error: a JSON float or boolean for p, m, j or k, and a digit that is
     # not an integer in a table entry or a substitution rule
     table = json.loads(dumps_spec(TableMap(random_table(random.Random(1), 2, ScalingClass(1, 1), 4))))
+    flags = [json.dumps(dict(table, tail_projection=v)) for v in ("false", 0)]  # not true/false
     table["tables"][0][0] = 1.5
     for text in ('{"type":"shift_power","p":1e400,"m":1}',
                  '{"type":"shift_power","p":2,"m":1e400}',
@@ -310,7 +320,7 @@ def test_exit_codes(specs, capsys, tmp_path):
                  json.dumps(dict(table, k=1.5)),
                  json.dumps(dict(table, k=True)),
                  json.dumps(table),
-                 '{"type":"substitution","p":2,"rules":[[0],[0,1.5]]}'):
+                 '{"type":"substitution","p":2,"rules":[[0],[0,1.5]]}', *flags):
         bad.write_text(text)
         for command in ("fixed-points", "validate", "mahler"):
             assert main([command, "--map", str(bad)]) == 2, (command, text)
@@ -490,6 +500,27 @@ def test_exit_codes(specs, capsys, tmp_path):
     assert '"iterations": 91' in capsys.readouterr().out
 
 
+def test_over_budget_exponents_exit_3_before_the_power_is_built(tmp_path):
+    # 2^(10^11) is 12.5 GB: the seeds of S^m, and the head tables of R and
+    # T_j, are refused on the exponent alone, so a child capped at 400 MB of
+    # address space exits 3 where building the power would exit 1
+    pytest.importorskip("resource")
+    code = ("import resource, sys; cap = 400 << 20; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "from padicdyn.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = tmp_path / "huge.json"
+    for text in ('{"type":"shift_power","p":2,"m":100000000000}',
+                 '{"type":"r_map","p":2,"m":100000000000}',
+                 '{"type":"tj","p":2,"m":100000000000,"j":1}'):
+        path.write_text(text)
+        run = subprocess.run([sys.executable, "-S", "-c", code, "fixed-points", "--map",
+                              str(path)], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3, (text, run.stderr)
+        assert "entries, over the budget" in run.stderr, text
+
+
 def test_wrong_domain_inputs_exit_3(capsys, tmp_path):
     # a Z_p map given Q_p input, a Q_p map given Z_p input (also a Z_p part
     # of a Q_p composition), and --back on a map with no exact inverse are
@@ -550,12 +581,12 @@ def test_nearby_refuses_short_points_before_comparing(specs, capsys, monkeypatch
 
 # ------------------------------------------------------- byte-identical corpus
 
-def _write_corpus_inputs():
-    """Write the corpus's map files into the current directory."""
+def _corpus_specs():
+    """The corpus's maps by file name, without the ``.json``."""
     p2, p3 = Prime(2), Prime(3)
     rng = random.Random(2020)
     t21 = random_table(rng, p2, ScalingClass(2, 1), 8)
-    specs = {
+    return {
         "shift": ShiftPower(p2, 1),
         "tj": Tj(p2, 1, 2),
         "rmap": Rmap(p2, 1),
@@ -578,7 +609,11 @@ def _write_corpus_inputs():
         # z -> 6z mod Z_2, 1-Lipschitz: it states a contraction exponent
         "ga": GaModZp(QpApprox(p2, 1, (1, 1) + (0,) * 10)),
     }
-    for name, spec in specs.items():
+
+
+def _write_corpus_inputs():
+    """Write the corpus's map files into the current directory."""
+    for name, spec in _corpus_specs().items():
         save_spec(spec, f"{name}.json")
 
 
@@ -687,3 +722,59 @@ def test_cli_corpus_byte_identical(capsys, tmp_path, monkeypatch):
         out = capsys.readouterr().out
         assert code == want_code, line
         assert hashlib.sha256(out.encode()).hexdigest() == want_sha, line
+
+
+def test_constructors_state_the_pairs_the_cli_built():
+    # each constructor's stated pair verifies as the pair the CLI built by
+    # hand (conjugacy_reference), on the corpus maps and on seeded ones, at
+    # the points the CLI samples (or is given)
+    specs, rng = _corpus_specs(), random.Random(29)
+    points = lambda spec, n, precision, seed=0: cli._sample_points(spec, n, precision, seed)
+    third = "3^0 * [0 1 0 0 0 0 0 0 0 0 0 0]"
+    to_shift = [(specs["shift"], points(specs["shift"], 6, 12)),
+                (specs["t22"], points(specs["t22"], 8, 10, 3)),
+                (specs["shift"], [parse_value("2^0 * [1 0 1 1 0 1]"),
+                                  parse_value("2^0 * [0 0 1]")])]
+    for p, k in ((2, 1), (3, 1), (2, 3)):
+        table = random_table(rng, p, ScalingClass(k, k), rng.randrange(k, 8))
+        to_shift.append((table, points(table, 6, 10, p)))
+    nearby = [(specs["t21"], specs["t21b"], 4, points(specs["t21"], 6, 10))]
+    for p, k, m in ((2, 2, 1), (3, 1, 1), (2, 2, 2)):
+        f_t = random_table(rng, p, ScalingClass(k, m), 8)
+        g_t = perturb_table(rng, f_t, first_digit=k, depth=8)
+        nearby.append((f_t, g_t, 3, points(f_t, 5, 12)))
+    shell = [(specs["psi"], third, points(specs["psi"], 8, 12)),
+             (specs["psi9"], third, points(specs["psi9"], 6, 12, 4))]
+    for p, K, b in ((2, 1, 0), (3, 1, 5), (5, 2, 7)):
+        a = ZpApprox.from_int(p**K * (1 + p * rng.randrange(p**4)), p, 14)
+        psi = AffineZp(ZpApprox.from_int(p ** (K + 1) * rng.randrange(1, p**4), p, 14),
+                       ZpApprox.from_int(b, p, 14))
+        shell.append((psi, encode_value(a), points(psi, 6, 14, p)))
+    qp = [specs["affq"], specs["affu"]] + [
+        AffineQp(QpApprox(Prime(p), v, (1, rng.randrange(p)) + (0,) * 20),
+                 QpApprox(Prime(p), rng.randrange(-1, 2), (rng.randrange(p),) * 22))
+        for p, v in ((2, -1), (3, 1), (5, -2))]
+
+    def same_report(cm, pair, xs):
+        assert verify_conjugacy(cm, cm.f, cm.g, xs) == verify_conjugacy(cm, *pair, xs)
+
+    for spec, xs in to_shift:
+        table = table_from_spec(spec, depth=16)
+        cm = shift_conjugacy(table)
+        assert cm.f == ShiftPower(spec.prime, table.klass.k) and cm.g is table
+        same_report(cm, ref.to_shift_pair(spec, table), xs)
+    for f_t, g_t, horizon, xs in nearby:
+        same_report(nearby_conjugacy(f_t, g_t, horizon), ref.nearby_pair(f_t, g_t), xs)
+    for psi, a_text, xs in shell:
+        a = parse_value(a_text, "zp")
+        same_report(affine_shell_conjugacy_map(a, psi), ref.affine_shell_pair(psi, a), xs)
+    for spec in qp:
+        cm = qp_affine_conjugacy_map(spec, 8)
+        pair = ref.qp_affine_pair(spec, cm)
+        assert cm.f == pair[0] and cm.g is spec
+        same_report(cm, pair, points(spec, 5, 12))
+    # a class (k, m != k) table is refused by both, as a precondition
+    for build in (lambda: shift_conjugacy(specs["t21"]),
+                  lambda: ref.to_shift_pair(specs["t21"], specs["t21"])):
+        with pytest.raises(PrecisionError):
+            build()

@@ -5,6 +5,8 @@ import random
 import pytest
 from qp_reference import reference_h
 
+import conjugacy_reference as ref
+
 from padicdyn import conjugacy
 from padicdyn.core import (PadicError, PNorm, PrecisionError, Prime, PrimeMismatch, QpApprox,
                            ZpApprox, distance, parse_value)
@@ -12,6 +14,7 @@ from padicdyn.maps import (
     AffineQp,
     AffineZp,
     Compose,
+    GaModZp,
     MapSpec,
     ScalingClass,
     ShiftPower,
@@ -111,6 +114,9 @@ def test_shift_conjugacy_rejects_wrong_class():
     table = random_table(rng, 2, ScalingClass(2, 1), 4)
     with pytest.raises(Exception):
         conjugate_to_shift(table, rand_point(rng, 2, 8))
+    # the constructor refuses it when it is built, as a precondition
+    with pytest.raises(PrecisionError, match=r"needs class \(k,k\), got ScalingClass"):
+        shift_conjugacy(table)
 
 
 def test_shift_conjugacy_refuses_short_iterates():
@@ -646,3 +652,75 @@ def test_lipschitz_stability_negative_example():
     assert solutions == [v for v in range(2**N) if v % 2 ** (N - k) == 0]
     # at precision N the only admissible values lie in p^(N-k) Z_p: as the
     # precision grows the conjugation is squeezed to the zero map
+
+
+# ------------------------------------------------- the two kernel records
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # every refusal is pinned by type and message
+        return type(exc), str(exc)
+
+
+def _zp(rng, p, n, v=0):
+    return ZpApprox.from_int(rng.randrange(p**n) * p**v, p, n)
+
+
+def _psis(rng, p):
+    """psi drawn as an affine map, a g_a, a substitution, a table and compositions."""
+    P = Prime(p)
+    k = rng.randrange(1, 3)
+    table = random_table(rng, P, ScalingClass(k, rng.randrange(1, k + 1)), rng.randrange(0, 5),
+                         tail_projection=rng.random() < 0.6)
+    affine = AffineZp(_zp(rng, p, rng.randrange(1, 14), rng.randrange(3)),
+                      _zp(rng, p, rng.randrange(1, 14)))
+    ga = GaModZp(QpApprox(P, rng.randrange(-1, 3), (rng.randrange(1, p),) + tuple(
+        rng.randrange(p) for _ in range(rng.randrange(2, 12)))))
+    sub = Substitution(P, tuple(tuple(rng.randrange(p) for _ in range(rng.randrange(1, 3)))
+                                for _ in range(p)))
+    return [affine, ga, sub, table, Compose((affine, ga)), Compose((sub, affine, table))]
+
+
+def test_kernel_records_match_the_bodies_they_replace():
+    # Perturbed against the CLI's z -> a z + psi(z), Normalized against the
+    # constructor's psi(u + z*) - psi(z*): value, precision or refusal
+    rng = random.Random(29)
+    cut = kinds = 0
+    seen = set()
+    for p in (2, 3, 5):
+        for _ in range(60):
+            a = _zp(rng, p, rng.randrange(1, 14), rng.randrange(4))
+            zs = _zp(rng, p, rng.randrange(1, 14), rng.randrange(3))
+            for psi in _psis(rng, p):
+                f, f_ref = conjugacy.Perturbed(a, psi), ref.affine_shell_pair(psi, a)[0]
+                n_psi, n_ref = conjugacy.Normalized(psi, zs), ref.normalized(psi, zs)
+                for _ in range(3):
+                    z = _zp(rng, p, rng.randrange(1, 14), rng.randrange(3))
+                    got = _outcome(lambda: f.apply(z))
+                    assert got == _outcome(lambda: f_ref.apply(z)), (a, psi, z)
+                    assert _outcome(lambda: n_psi.apply(z)) == _outcome(lambda: n_ref.apply(z))
+                    seen.add(type(got).__name__ if not isinstance(got, tuple) else got[0])
+                    # a z shorter than a: the truncated a gives another result
+                    if z.precision < a.precision and got != _outcome(
+                            lambda: a * z + psi.apply(z)):
+                        cut += 1
+                n = rng.randrange(1, 8)
+                assert _outcome(lambda: n_psi.min_input_precision(n)) == _outcome(
+                    lambda: n_ref.min_input_precision(n))
+                kinds += 1
+    assert cut and kinds == 3 * 60 * 6
+    assert {"ZpApprox", PrecisionError} <= seen
+
+
+def test_perturbed_images_are_its_apply_on_every_residue():
+    rng = random.Random(30)
+    for p, n in ((2, 6), (3, 4), (5, 3)):
+        a = _zp(rng, p, 8, 1)
+        for psi in _psis(rng, p)[:3]:
+            f, f_ref = conjugacy.Perturbed(a, psi), ref.affine_shell_pair(psi, a)[0]
+            want = [_outcome(lambda: f_ref.apply(ZpApprox._of(psi.prime, n, x)))
+                    for x in range(p**n)]
+            if all(isinstance(w, ZpApprox) for w in want):
+                assert f.images(n) == ([w.value for w in want], [w.precision for w in want])

@@ -614,6 +614,17 @@ def test_no_isinstance_names_a_map_class():
     assert not hits
 
 
+def test_no_class_is_defined_inside_a_function():
+    # a class statement in a function body makes a new class on every call;
+    # every class the library uses is stated once, at module level
+    hits = [(path.name, node.lineno, node.name)
+            for path in sorted(pathlib.Path(padicdyn.__file__).parent.glob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, ast.ClassDef)]
+    assert not hits
+
+
 def test_iterate_composition_law():
     rng = random.Random(17)
     table = random_table(rng, 3, ScalingClass(1, 1), 4)

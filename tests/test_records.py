@@ -44,7 +44,9 @@ FIELDS = {
     analysis.FixedPointReport: ("map_id", "iterate_n", "klass", "count", "seeds", "points",
                                 "closed_form"),
     conjugacy.ConjugacyMap: ("forward", "tag", ("inverse", None), ("isometry", "not-claimed"),
-                             ("details", dict)),
+                             ("details", dict), ("f", None), ("g", None)),
+    conjugacy.Perturbed: ("a", "psi"),
+    conjugacy.Normalized: ("psi", "z"),
     conjugacy.ConjugacyReport: ("samples_checked", "semiconjugacy_ok",
                                 "max_semiconjugacy_residual", "isometry_deviations",
                                 "injectivity_collisions"),
@@ -97,6 +99,7 @@ def _instances():
         analysis.expansivity_check(shift, 1, horizon=4, precision=5),
         analysis.fixed_points(shift, precision=6), h,
         conjugacy.verify_conjugacy(h, shift, table, samples),
+        conjugacy.Perturbed(x, maps.AffineZp(x, x)), conjugacy.Normalized(table, x),
     ]
 
 
@@ -107,9 +110,9 @@ def test_every_record_class_has_one_instance():
     records = {cls for mod in (core, mahler, maps, shadowing, analysis, conjugacy)
                for cls in vars(mod).values()
                if isinstance(cls, type) and cls.__setattr__.__qualname__.startswith("record.")}
-    assert len(FIELDS) == 24
+    assert len(FIELDS) == 26
     assert records == set(FIELDS) == {type(r) for r in INSTANCES}
-    assert len(INSTANCES) == 24
+    assert len(INSTANCES) == 26
 
 
 @pytest.mark.parametrize("rec", INSTANCES, ids=lambda r: type(r).__name__)
